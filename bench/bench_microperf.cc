@@ -69,6 +69,54 @@ BM_EventQueueCancelHeavy(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
 
+/**
+ * The queue shape of the event engine under open-loop traffic: ~25k
+ * sends pre-scheduled (in tick order) up to 20k ticks ahead, plus
+ * near-tick churn from self-rescheduling clocks with periods of 6-10
+ * ticks, like the INCs' compaction clocks.  Driven through
+ * Simulator::run, the loop the engines use.
+ */
+void
+BM_EventQueueFarPresched(benchmark::State &state)
+{
+    constexpr std::uint32_t kSends = 25'000;
+    constexpr sim::Tick kHorizon = 20'000;
+    constexpr std::uint32_t kClocks = 128;
+    struct Clock
+    {
+        sim::Simulator *s;
+        sim::Tick period;
+        void
+        operator()() const
+        {
+            if (s->now() + period < kHorizon)
+                s->schedule(period, *this);
+        }
+    };
+    std::uint64_t events = 0;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        sim::Simulator s;
+        sim::Random rng(7);
+        for (std::uint32_t i = 0; i < kSends; ++i) {
+            // 32 bytes of capture, like a send closure.
+            const sim::Tick at = std::uint64_t{i} * kHorizon / kSends;
+            const std::uint64_t a = rng.next();
+            const std::uint64_t b = rng.next();
+            s.scheduleAt(at, [&sink, at, a, b] { sink += at ^ a ^ b; });
+        }
+        for (std::uint32_t c = 0; c < kClocks; ++c) {
+            const sim::Tick period = rng.uniformRange(6, 10);
+            s.schedule(rng.uniformInt(period), Clock{&s, period});
+        }
+        s.run();
+        events += s.numExecuted();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueFarPresched)->Unit(benchmark::kMillisecond);
+
 void
 BM_RandomNext(benchmark::State &state)
 {
@@ -356,15 +404,19 @@ runSpeedupReport(const std::string &path, double min_speedup,
         bool stream;  //!< sustained streaming vs saturated batch
         double floor; //!< required speedup for the floor leaf
     };
-    // The default config carries the 10x claim on the sustained
-    // streaming regime; the saturated setup-storm batches (tiny
-    // payloads, every node injecting at once) are the kernel's
-    // worst case and hold conservative floors alongside.
+    // The default config carries the headline floor on the
+    // sustained streaming regime; the saturated setup-storm batches
+    // (tiny payloads, every node injecting at once) are the kernel's
+    // worst case and hold conservative floors alongside.  Each floor
+    // is the same fraction of its measured median ratio as when the
+    // kernel landed (10/20, 2/5.4, 5/13, 5/9.1), re-based when the
+    // calendar event queue made the event engine - the numerator -
+    // about 3x faster; none is below 1.
     const std::vector<Point> grid = {
         {16, 4, true, min_speedup},
-        {16, 4, false, 2.0},
-        {64, 4, false, 5.0},
-        {64, 8, false, 5.0},
+        {16, 4, false, 1.0},
+        {64, 4, false, 1.65},
+        {64, 8, false, 1.53},
     };
     const std::uint32_t rounds = fast ? 2 : 8;
     const std::uint32_t stream_msgs = fast ? 300 : 800;
@@ -529,7 +581,7 @@ main(int argc, char **argv)
     };
     bool fast = false;
     std::string report_path;
-    double min_speedup = 10.0;
+    double min_speedup = 3.45;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--fast")

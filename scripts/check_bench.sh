@@ -4,7 +4,7 @@
 # baseline (tests/data/BENCH_microperf.json) with tools/sweep
 # compare.  Two ways to fail, both load-bearing:
 #   - bench_microperf exits non-zero when the kernel's measured
-#     speedup drops below the hard floor (10x on the default
+#     speedup drops below the hard floor (3.45x on the default
 #     16-node, 4-bus config);
 #   - sweep compare exits non-zero when a gated baseline leaf (the
 #     floor indicators, and bench_microperf's profiler-overhead
@@ -15,10 +15,11 @@
 # ctest passes explicit paths).  The same script gates any bench
 # that speaks --fast/--report/--min-speedup (bench_microperf,
 # bench_hierarchy); the optional 4th argument overrides the
-# speedup floor handed to the bench (default 10, bench_microperf's).
+# speedup floor handed to the bench (default 3.45,
+# bench_microperf's).
 set -e
 
-min_speedup=10
+min_speedup=3.45
 if [ $# -ge 3 ]; then
     bench="$1"
     sweep="$2"

@@ -8,7 +8,7 @@
  *
  *  - `RmbNetwork` (network.hh): the reference discrete-event engine;
  *    every header hop, INC cycle tick and teardown step is a
- *    heap-scheduled `sim::EventQueue` event with per-INC clock skew.
+ *    `sim::EventQueue` event with per-INC clock skew.
  *  - `CycleKernelEngine` (kernel/kernel_engine.hh): a time-stepped
  *    structure-of-arrays kernel; segment occupancy and fault state
  *    live in uint64_t bitplanes, compaction candidates are filtered

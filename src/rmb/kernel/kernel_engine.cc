@@ -285,6 +285,10 @@ CycleKernelEngine::allocSlot()
         freeSlots_.pop_back();
         return slot;
     }
+    rmb_assert(pool_.size() <
+                   std::uint64_t{config_.numNodes} * config_.numBuses,
+               "kernel bus pool would grow past N*k buses: a live bus"
+               " holds no segment");
     pool_.emplace_back();
     return static_cast<std::uint32_t>(pool_.size() - 1);
 }
@@ -637,12 +641,12 @@ CycleKernelEngine::teardownStep(std::uint32_t slot)
 
     if (!bus.hops.empty()) {
         if (hop.inMove())
-            releaseSegment(bus, hop.gap, hop.dualLevel,
+            releaseSegment(slot, hop.gap, hop.dualLevel,
                            obs::kFreeTeardown);
-        releaseSegment(bus, hop.gap, hop.level,
+        releaseSegment(slot, hop.gap, hop.level,
                        obs::kFreeTeardown);
         scheduleAction(config_.ackHopDelay, Action::TeardownStep,
-                       slot, bus.gen);
+                       slot, pool_[slot].gen);
         return;
     }
     busFinished(slot, hop);
@@ -743,9 +747,10 @@ CycleKernelEngine::scheduleRetry(net::NodeId node,
 }
 
 void
-CycleKernelEngine::releaseSegment(KBus &bus, GapId gap, Level level,
-                                  std::uint64_t reason)
+CycleKernelEngine::releaseSegment(std::uint32_t bus_slot, GapId gap,
+                                  Level level, std::uint64_t reason)
 {
+    KBus &bus = pool_[bus_slot];
     const auto slot = planes_.ownerSlot(gap, level);
     planes_.release(gap, level, slot, simulator().now());
     if (tracing()) {
@@ -760,6 +765,7 @@ CycleKernelEngine::releaseSegment(KBus &bus, GapId gap, Level level,
         rmbStats_.topReleaseLatency.add(static_cast<double>(
             simulator().now() - bus.injectedAt));
     }
+    // Last: the wakeup may grow pool_ and move `bus`.
     if (!planes_.faulted(gap, level))
         segmentFreed(gap, level);
 }
@@ -952,7 +958,7 @@ CycleKernelEngine::breakStep(sim::Tick)
             e.a = static_cast<std::uint64_t>(r.fromLevel);
             emitTrace(e);
         }
-        releaseSegment(bus, r.gap, r.fromLevel,
+        releaseSegment(r.slot, r.gap, r.fromLevel,
                        obs::kFreeCompaction);
     }
     moveRecords_.clear();

@@ -220,7 +220,10 @@ class CycleKernelEngine : public Engine
     void severBus(KBus &bus, std::uint64_t reason);
     /** Dead-letter @p m (severedAt_ lost accounting included). */
     void writeOff(net::Message &m, obs::DeadLetterReason reason);
-    void releaseSegment(KBus &bus, GapId gap, Level level,
+    /** Free one segment of the bus in @p slot.  The wakeup may
+     *  inject a bus and grow pool_, so it takes a slot, not a
+     *  `KBus &`, and callers re-read pool_ afterwards. */
+    void releaseSegment(std::uint32_t slot, GapId gap, Level level,
                         std::uint64_t reason);
     void segmentFreed(GapId gap, Level level);
 
@@ -247,6 +250,11 @@ class CycleKernelEngine : public Engine
     kernel::SegmentPlanes planes_;
     std::vector<Pe> pes_;
 
+    /** Bus slots.  Growth moves every KBus, so no `KBus &` may be
+     *  held across a call that can inject a bus (releaseSegment,
+     *  segmentFreed, tryInject, busFinished -> allocSlot).  Every
+     *  live bus holds a segment from allocSlot() until retireSlot(),
+     *  so the pool never exceeds N*k slots. */
     std::vector<KBus> pool_;
     std::vector<std::uint32_t> freeSlots_;
     VirtualBusId nextBusId_ = 1;

@@ -83,7 +83,7 @@ enum class EngineKind : std::uint8_t
 {
     /**
      * The original discrete-event path (`RmbNetwork`): every header
-     * hop, INC cycle tick and teardown step is a heap-scheduled
+     * hop, INC cycle tick and teardown step is a
      * `sim::EventQueue` event.  Most faithful to per-INC clock skew;
      * the reference implementation.
      */

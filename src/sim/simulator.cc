@@ -17,11 +17,8 @@ std::uint64_t
 Simulator::run(std::uint64_t max_events)
 {
     std::uint64_t executed = 0;
-    while (!events_.empty() && executed < max_events) {
-        now_ = events_.nextTick();
-        events_.runOne();
+    while (executed < max_events && events_.runNextUntil(kMaxTick, now_))
         ++executed;
-    }
     return executed;
 }
 
@@ -31,11 +28,8 @@ Simulator::runUntil(Tick until)
     const Tick saved_horizon = horizon_;
     horizon_ = until;
     std::uint64_t executed = 0;
-    while (!events_.empty() && events_.nextTick() <= until) {
-        now_ = events_.nextTick();
-        events_.runOne();
+    while (events_.runNextUntil(until, now_))
         ++executed;
-    }
     if (now_ < until)
         now_ = until;
     horizon_ = saved_horizon;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulator.hh"
 
 namespace rmb {
@@ -133,6 +135,47 @@ TEST(Simulator, ZeroDelaySelfEventRunsThisInstant)
     s.run();
     EXPECT_EQ(depth, 3);
     EXPECT_EQ(s.now(), 0u);
+}
+
+TEST(Simulator, RunUntilAndAdvanceIfIdleAreExactAcrossFarEvents)
+{
+    // Tick 500 is scheduled far ahead of the queue's cursor and moves
+    // into its near ring only when the clock gets there.
+    Simulator s;
+    std::vector<int> order;
+    bool advanced_past_horizon = true;
+    s.schedule(10, [&] {
+        order.push_back(1);
+        advanced_past_horizon = s.advanceIfIdle(400);
+    });
+    s.schedule(500, [&] { order.push_back(3); });
+    EXPECT_EQ(s.runUntil(300), 1u);
+    EXPECT_FALSE(advanced_past_horizon);
+    EXPECT_EQ(s.now(), 300u);
+    EXPECT_FALSE(s.advanceIfIdle(500)); // the far event is due
+    EXPECT_TRUE(s.advanceIfIdle(499));
+    EXPECT_EQ(s.now(), 499u);
+    // Same tick as the far event, scheduled later: fires after it.
+    s.schedule(1, [&] { order.push_back(4); });
+    s.scheduleAt(499, [&] { order.push_back(2); });
+    EXPECT_EQ(s.runUntil(499), 1u);
+    EXPECT_EQ(s.runUntil(500), 2u);
+    EXPECT_EQ(s.now(), 500u);
+    EXPECT_TRUE(s.idle());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Simulator, RunStopsAtEventBudgetAcrossFarEvents)
+{
+    Simulator s;
+    int fired = 0;
+    for (Tick t : {Tick{5}, Tick{5'000}, Tick{90'000}})
+        s.schedule(t, [&] { ++fired; });
+    EXPECT_EQ(s.run(2), 2u);
+    EXPECT_EQ(s.now(), 5'000u);
+    EXPECT_EQ(s.eventQueue().nextTick(), 90'000u);
+    EXPECT_EQ(s.run(), 1u);
+    EXPECT_EQ(fired, 3);
 }
 
 } // namespace

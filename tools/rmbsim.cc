@@ -19,6 +19,8 @@
  *          --replay /tmp/u.trace
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -193,6 +195,53 @@ usage(int code = 2)
     std::exit(code);
 }
 
+/**
+ * Strict numeric flag values: the whole of @p text must be a plain
+ * decimal number.  Anything else - empty input, junk, a sign on an
+ * unsigned flag, overflow, NaN or infinity - is a usage error that
+ * names @p flag and exits 2.
+ */
+[[noreturn]] void
+badValue(const std::string &flag, const std::string &text,
+         const std::string &want)
+{
+    std::cerr << "rmbsim: " << flag << " expects " << want
+              << ", got '" << text << "'\n";
+    std::exit(2);
+}
+
+std::uint64_t
+parseUnsigned(const std::string &flag, const std::string &text,
+              std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc::invalid_argument || ptr != end)
+        badValue(flag, text, "a non-negative integer");
+    if (ec == std::errc::result_out_of_range || v > max)
+        badValue(flag, text, "an integer <= " + std::to_string(max));
+    return v;
+}
+
+std::uint32_t
+parseU32(const std::string &flag, const std::string &text)
+{
+    return static_cast<std::uint32_t>(
+        parseUnsigned(flag, text, UINT32_MAX));
+}
+
+double
+parseReal(const std::string &flag, const std::string &text)
+{
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v))
+        badValue(flag, text, "a finite number");
+    return v;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -211,44 +260,35 @@ parse(int argc, char **argv)
         } else if (arg == "--topology") {
             o.topology = need(i);
         } else if (arg == "--local-rings") {
-            o.localRings = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.localRings = parseU32(arg, need(i));
         } else if (arg == "--global-buses") {
-            o.globalBuses = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.globalBuses = parseU32(arg, need(i));
         } else if (arg == "--bridge-latency") {
-            o.bridgeLatency = std::stoull(need(i));
+            o.bridgeLatency = parseUnsigned(arg, need(i));
         } else if (arg == "--bridge-buffer") {
-            o.bridgeBuffer = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.bridgeBuffer = parseU32(arg, need(i));
         } else if (arg == "--jobs") {
-            o.jobs = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.jobs = parseU32(arg, need(i));
         } else if (arg == "--nodes") {
-            o.nodes = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.nodes = parseU32(arg, need(i));
         } else if (arg == "--buses") {
-            o.buses = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.buses = parseU32(arg, need(i));
         } else if (arg == "--width") {
-            o.width = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.width = parseU32(arg, need(i));
         } else if (arg == "--height") {
-            o.height = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.height = parseU32(arg, need(i));
         } else if (arg == "--dims") {
             o.dims = need(i);
         } else if (arg == "--workload") {
             o.workload = need(i);
         } else if (arg == "--rate") {
-            o.rate = std::stod(need(i));
+            o.rate = parseReal(arg, need(i));
         } else if (arg == "--payload") {
-            o.payload = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.payload = parseU32(arg, need(i));
         } else if (arg == "--duration") {
-            o.duration = std::stoull(need(i));
+            o.duration = parseUnsigned(arg, need(i));
         } else if (arg == "--seed") {
-            o.seed = std::stoull(need(i));
+            o.seed = parseUnsigned(arg, need(i));
         } else if (arg == "--blocking") {
             o.blocking = need(i);
         } else if (arg == "--header") {
@@ -258,34 +298,31 @@ parse(int argc, char **argv)
             const auto comma = v.find(',');
             if (comma == std::string::npos)
                 usage();
-            o.sendPorts = static_cast<std::uint32_t>(
-                std::stoul(v.substr(0, comma)));
-            o.receivePorts = static_cast<std::uint32_t>(
-                std::stoul(v.substr(comma + 1)));
+            o.sendPorts = parseU32(arg, v.substr(0, comma));
+            o.receivePorts = parseU32(arg, v.substr(comma + 1));
         } else if (arg == "--no-compaction") {
             o.compaction = false;
         } else if (arg == "--fault-mtbf") {
-            o.faultMtbf = std::stoull(need(i));
+            o.faultMtbf = parseUnsigned(arg, need(i));
         } else if (arg == "--fault-mttr") {
             const std::string v = need(i);
             const auto comma = v.find(',');
             if (comma == std::string::npos)
                 usage();
-            o.faultMttrMin = std::stoull(v.substr(0, comma));
-            o.faultMttrMax = std::stoull(v.substr(comma + 1));
+            o.faultMttrMin = parseUnsigned(arg, v.substr(0, comma));
+            o.faultMttrMax = parseUnsigned(arg, v.substr(comma + 1));
         } else if (arg == "--fault-permanent-prob") {
-            o.faultPermanentProb = std::stod(need(i));
+            o.faultPermanentProb = parseReal(arg, need(i));
         } else if (arg == "--fault-node-prob") {
-            o.faultNodeProb = std::stod(need(i));
+            o.faultNodeProb = parseReal(arg, need(i));
         } else if (arg == "--fault-bridge-prob") {
-            o.faultBridgeProb = std::stod(need(i));
+            o.faultBridgeProb = parseReal(arg, need(i));
         } else if (arg == "--fault-plan") {
             o.faultPlanPath = need(i);
         } else if (arg == "--watchdog") {
-            o.watchdog = std::stoull(need(i));
+            o.watchdog = parseUnsigned(arg, need(i));
         } else if (arg == "--max-retries") {
-            o.maxRetries = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
+            o.maxRetries = parseU32(arg, need(i));
         } else if (arg == "--record") {
             o.record = need(i);
         } else if (arg == "--replay") {
@@ -301,7 +338,7 @@ parse(int argc, char **argv)
         } else if (arg == "--trace") {
             o.tracePath = need(i);
         } else if (arg == "--timeline") {
-            o.timeline = std::stoull(need(i));
+            o.timeline = parseUnsigned(arg, need(i));
         } else if (arg == "--heatmap") {
             o.heatmap = true;
         } else if (arg == "--profile") {
@@ -363,7 +400,8 @@ rmbConfig(const Options &o)
         cfg.blocking = core::BlockingPolicy::Wait;
     } else if (o.blocking.rfind("wait:", 0) == 0) {
         cfg.blocking = core::BlockingPolicy::Wait;
-        cfg.headerTimeout = std::stoull(o.blocking.substr(5));
+        cfg.headerTimeout =
+            parseUnsigned("--blocking", o.blocking.substr(5));
     } else if (o.blocking == "nack") {
         cfg.blocking = core::BlockingPolicy::NackRetry;
     } else {
@@ -416,8 +454,7 @@ makeNetwork(const Options &o, sim::Simulator &simulator)
                                             : x - pos);
             if (part.empty())
                 fatal("bad --dims '", o.dims, "'");
-            dims.push_back(static_cast<std::uint32_t>(
-                std::stoul(part)));
+            dims.push_back(parseU32("--dims", part));
             pos = x == std::string::npos ? o.dims.size() : x + 1;
         }
         return std::make_unique<core::RmbGridNetwork>(
@@ -475,7 +512,7 @@ batchWorkload(const Options &o, net::NodeId n, sim::Random &rng)
     if (w.rfind("rot:", 0) == 0) {
         return workload::toPairs(workload::rotation(
             n, static_cast<net::NodeId>(
-                   std::stoul(w.substr(4)) % n)));
+                   parseUnsigned("--workload", w.substr(4)) % n)));
     }
     return {};
 }
@@ -488,11 +525,11 @@ stochasticWorkload(const Options &o, net::NodeId n)
         return std::make_unique<workload::UniformTraffic>(n);
     if (w.rfind("local:", 0) == 0) {
         return std::make_unique<workload::LocalRingTraffic>(
-            n, static_cast<net::NodeId>(std::stoul(w.substr(6))));
+            n, parseU32("--workload", w.substr(6)));
     }
     if (w.rfind("hotspot:", 0) == 0) {
         return std::make_unique<workload::HotSpotTraffic>(
-            n, 0, std::stod(w.substr(8)));
+            n, 0, parseReal("--workload", w.substr(8)));
     }
     return nullptr;
 }
