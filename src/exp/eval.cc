@@ -1,5 +1,7 @@
 #include "exp/eval.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -20,6 +22,7 @@
 #include "obs/trace.hh"
 #include "rmb/dual_ring.hh"
 #include "rmb/engine.hh"
+#include "rmb/grid.hh"
 #include "rmb/network.hh"
 #include "rmb/torus.hh"
 #include "sim/random.hh"
@@ -60,92 +63,79 @@ failPoint(const PointConfig &pt, std::string why)
     return r;
 }
 
-core::RmbConfig
-rmbConfig(const PointConfig &pt, std::uint64_t net_seed)
+/** The value after @p prefix in @p w, which set() already checked. */
+template <typename T>
+T
+suffix(const std::string &w, std::size_t prefix)
 {
-    core::RmbConfig cfg;
-    cfg.numNodes = pt.nodes;
-    cfg.numBuses = pt.buses;
-    cfg.seed = net_seed;
-    cfg.enableCompaction = pt.compaction;
-    cfg.sendPorts = pt.sendPorts;
-    cfg.receivePorts = pt.receivePorts;
-    cfg.detailedFlits = pt.detailedFlits;
-    if (pt.faultMtbf > 0) {
-        cfg.transientFaults = true;
-        cfg.faultMtbf = pt.faultMtbf;
-        cfg.faultMttrMin = pt.faultMttrMin;
-        cfg.faultMttrMax = pt.faultMttrMax;
-        cfg.faultPermanentProb = pt.faultPermanentProb;
-        cfg.faultNodeProb = pt.faultNodeProb;
-        cfg.faultBridgeProb = pt.faultBridgeProb;
-    }
-    cfg.watchdogTimeout = pt.watchdog;
-    cfg.maxRetries = pt.maxRetries;
-    if (pt.topology == "hier") {
-        cfg.topology = core::TopologyKind::Hier;
-        cfg.localRings = pt.localRings;
-        cfg.globalBuses = pt.globalBuses;
-        cfg.bridgeLatency = pt.bridgeLatency;
-        cfg.bridgeBuffer = pt.bridgeBuffer;
-        cfg.shardJobs = pt.shardJobs;
-    }
-    cfg.verify = core::VerifyLevel::Off;
-    cfg.headerPolicy = pt.header == "straight"
-                           ? core::HeaderPolicy::PreferStraight
-                           : core::HeaderPolicy::PreferLowest;
-    if (pt.blocking == "wait") {
-        cfg.blocking = core::BlockingPolicy::Wait;
-    } else if (pt.blocking.rfind("wait:", 0) == 0) {
-        cfg.blocking = core::BlockingPolicy::Wait;
-        cfg.headerTimeout = std::stoull(pt.blocking.substr(5));
-    } else {
-        cfg.blocking = core::BlockingPolicy::NackRetry;
-    }
-    return cfg;
+    T v{};
+    std::from_chars(w.data() + prefix, w.data() + w.size(), v);
+    return v;
 }
 
-/**
- * Build the point's network, or return nullptr with @p error set.
- * Mirrors rmbsim's factory, but reports problems instead of calling
- * fatal() so one bad point cannot take down the sweep.
- */
+} // namespace
+
 std::unique_ptr<net::Network>
 makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
-            std::uint64_t net_seed, std::string &error)
+            std::uint64_t net_seed, core::VerifyLevel verify,
+            std::string &error, bool fault_plan)
 {
-    const bool torus_like =
-        pt.network == "torus" || pt.network == "mesh";
-    const std::uint32_t nodes =
-        torus_like ? pt.width * pt.height : pt.nodes;
+    std::vector<std::uint32_t> dims;
+    if (pt.network == "grid" && !parseDims(pt.dims, dims)) {
+        error = "bad grid dims '" + pt.dims + "' (want AxBxC)";
+        return nullptr;
+    }
+    std::uint32_t nodes = pt.net.numNodes;
+    if (pt.network == "torus" || pt.network == "mesh")
+        nodes = pt.width * pt.height;
+    if (pt.network == "grid") {
+        nodes = 1;
+        for (const std::uint32_t d : dims)
+            nodes *= d;
+    }
     if (nodes < 2) {
         error = "network needs at least 2 nodes, got " +
                 std::to_string(nodes);
         return nullptr;
     }
-
-    if (pt.topology == "hier" && pt.network != "rmb") {
-        error = "topology=hier is only supported with network=rmb"
-                " ('" + pt.network +
-                "' has its own fixed topology)";
+    if (pt.payload == 0) {
+        error = "payload must be >= 1 flit";
+        return nullptr;
+    }
+    // The hier topology and the kernel engine exist only behind the
+    // core::Engine factory, i.e. network=rmb; any other network
+    // would silently ignore them.
+    if (pt.net.topology != core::TopologyKind::Flat &&
+        pt.network != "rmb") {
+        error = "topology=hier is only supported with network=rmb; '" +
+                pt.network +
+                "' has its own fixed topology (drop topology, or use"
+                " network=rmb)";
+        return nullptr;
+    }
+    if (pt.net.engine != core::EngineKind::Event &&
+        pt.network != "rmb") {
+        error = "engine=kernel is only supported with network=rmb; '" +
+                pt.network +
+                "' would silently ignore it (drop engine, or use"
+                " network=rmb)";
         return nullptr;
     }
 
     if (pt.network == "rmb" || pt.network == "dualring" ||
-        pt.network == "torus") {
-        core::RmbConfig cfg = rmbConfig(pt, net_seed);
-        if (pt.network == "rmb") {
-            cfg.engine = pt.engine == "kernel"
-                             ? core::EngineKind::Kernel
-                             : core::EngineKind::Event;
-        } else if (pt.engine != "event") {
-            error = "network '" + pt.network +
-                    "' only supports engine=event (the cycle"
-                    " kernel backs the plain rmb ring)";
-            return nullptr;
-        }
+        pt.network == "torus" || pt.network == "grid") {
+        core::RmbConfig cfg = pt.net;
+        cfg.seed = net_seed;
+        cfg.verify = verify;
+        // A scripted fault plan hits occupied segments too, so it
+        // needs the same recovery machinery as the fault schedule.
+        cfg.transientFaults = cfg.faultMtbf > 0 || fault_plan;
+        // Composed networks build rings of these sizes; validate the
+        // smallest (each constructor resets numNodes per ring).
         if (pt.network == "torus")
-            cfg.numNodes = pt.width; // per-ring size; ctor resets it
+            cfg.numNodes = std::min(pt.width, pt.height);
+        if (pt.network == "grid")
+            cfg.numNodes = *std::min_element(dims.begin(), dims.end());
         const auto problems = cfg.validate();
         if (!problems.empty()) {
             error = problems.front();
@@ -158,15 +148,19 @@ makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
         if (pt.network == "dualring")
             return std::make_unique<core::DualRingRmbNetwork>(
                 simulator, cfg);
-        return std::make_unique<core::RmbTorusNetwork>(
-            simulator, pt.width, pt.height, cfg);
+        if (pt.network == "torus")
+            return std::make_unique<core::RmbTorusNetwork>(
+                simulator, pt.width, pt.height, cfg);
+        return std::make_unique<core::RmbGridNetwork>(simulator, dims,
+                                                      cfg);
     }
 
+    const std::uint32_t buses = pt.net.numBuses;
     baseline::CircuitConfig circuit;
     circuit.seed = net_seed;
     if (pt.network == "ring")
         return std::make_unique<baseline::IdealRingNetwork>(
-            simulator, nodes, pt.buses, circuit);
+            simulator, nodes, buses, circuit);
     if (pt.network == "mesh")
         return std::make_unique<baseline::MeshNetwork>(
             simulator, pt.width, pt.height, circuit);
@@ -183,13 +177,13 @@ makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
     }
     if (pt.network == "fattree")
         return std::make_unique<baseline::FatTreeNetwork>(
-            simulator, nodes, pt.buses, circuit);
+            simulator, nodes, buses, circuit);
     if (pt.network == "multibus")
         return std::make_unique<baseline::MultiBusNetwork>(
-            simulator, nodes, pt.buses, circuit);
+            simulator, nodes, buses, circuit);
     if (pt.network == "wormhole") {
         baseline::WormholeConfig cfg;
-        cfg.vcsPerClass = pt.buses / 2 ? pt.buses / 2 : 1;
+        cfg.vcsPerClass = buses / 2 ? buses / 2 : 1;
         return std::make_unique<baseline::WormholeRingNetwork>(
             simulator, nodes, cfg);
     }
@@ -197,8 +191,6 @@ makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
     return nullptr;
 }
 
-/** Batch pairs for permutation-style workloads; empty if the
- *  workload is stochastic.  Sets @p error for shape problems. */
 workload::PairList
 batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
            std::string &error)
@@ -211,7 +203,7 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
                 std::to_string(n);
         return {};
     }
-    if (w == "transpose" && pow2 && log2Floor(n) % 2 != 0) {
+    if (w == "transpose" && log2Floor(n) % 2 != 0) {
         error = "workload 'transpose' needs an even number of"
                 " address bits, got nodes = " +
                 std::to_string(n);
@@ -228,31 +220,43 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
         return workload::toPairs(workload::transpose(n));
     if (w == "tornado")
         return workload::toPairs(workload::rotation(n, n / 2));
-    if (w.rfind("rot:", 0) == 0)
-        return workload::toPairs(workload::rotation(
-            n, static_cast<net::NodeId>(
-                   std::stoul(w.substr(4)) % n)));
+    if (w.rfind("rot:", 0) == 0) {
+        const net::NodeId shift = suffix<net::NodeId>(w, 4) % n;
+        if (shift == 0)
+            error = "workload '" + w + "' on " + std::to_string(n) +
+                    " nodes sends every message to its source";
+        return workload::toPairs(workload::rotation(n, shift));
+    }
     if (w.rfind("hrel:", 0) == 0)
         return workload::randomHRelation(
-            n, static_cast<std::uint32_t>(std::stoul(w.substr(5))),
-            rng);
+            n, suffix<std::uint32_t>(w, 5), rng);
     return {};
 }
 
 std::unique_ptr<workload::TrafficPattern>
-stochasticPattern(const PointConfig &pt, net::NodeId n)
+stochasticPattern(const PointConfig &pt, net::NodeId n,
+                  std::string &error)
 {
     const std::string &w = pt.workload;
     if (w == "uniform")
         return std::make_unique<workload::UniformTraffic>(n);
-    if (w.rfind("local:", 0) == 0)
-        return std::make_unique<workload::LocalRingTraffic>(
-            n, static_cast<net::NodeId>(std::stoul(w.substr(6))));
+    if (w.rfind("local:", 0) == 0) {
+        const auto d = suffix<net::NodeId>(w, 6);
+        if (d >= n) {
+            error = "workload '" + w + "' needs a distance below"
+                    " nodes = " + std::to_string(n);
+            return nullptr;
+        }
+        return std::make_unique<workload::LocalRingTraffic>(n, d);
+    }
     if (w.rfind("hotspot:", 0) == 0)
         return std::make_unique<workload::HotSpotTraffic>(
-            n, 0, std::stod(w.substr(8)));
+            n, 0, suffix<double>(w, 8));
+    error = "unknown workload '" + w + "'";
     return nullptr;
 }
+
+namespace {
 
 void
 appendNetworkMetrics(PointResult &r, const net::Network &network)
@@ -354,9 +358,6 @@ runPoint(const PointConfig &pt)
 {
     RMB_PROF_SCOPE("exp.point");
     try {
-        if (pt.payload == 0)
-            return failPoint(pt, "payload must be >= 1 flit");
-
         // Independent substreams per concern, all pure functions of
         // the point seed: one for the network's internal randomness
         // (clock jitter, backoff), one for workload generation.
@@ -368,7 +369,8 @@ runPoint(const PointConfig &pt)
         std::string error;
         // Declared before the network so the sink outlives it.
         obs::CountingSink trace_counts;
-        auto network = makeNetwork(pt, simulator, net_seed, error);
+        auto network = makeNetwork(pt, simulator, net_seed,
+                                   core::VerifyLevel::Off, error);
         if (!network)
             return failPoint(pt, error);
         network->setTraceSink(&trace_counts);
@@ -441,10 +443,10 @@ runPoint(const PointConfig &pt)
             return r;
         }
 
-        auto pattern = stochasticPattern(pt, network->numNodes());
+        auto pattern =
+            stochasticPattern(pt, network->numNodes(), error);
         if (!pattern)
-            return failPoint(pt, "unknown workload '" + pt.workload +
-                                     "'");
+            return failPoint(pt, error);
         const auto o = workload::runOpenLoop(
             *network, *pattern, pt.rate, pt.payload, pt.duration,
             wl_rng, pt.duration / 5, pt.timeout);

@@ -17,19 +17,51 @@
 
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <cstdint>
-#include <functional>
-
 #include "common/parallel.hh"
 #include "exp/spec.hh"
+#include "netbase/network.hh"
 #include "obs/run_report.hh"
+#include "sim/random.hh"
+#include "workload/permutation.hh"
+#include "workload/traffic.hh"
 
 namespace rmb {
 namespace exp {
+
+/**
+ * The network factory shared by runPoint() and rmbsim: build @p pt's
+ * network on @p simulator, or return nullptr with @p error set to
+ * one actionable message, so one bad point cannot take down a sweep.
+ * Callers differ only in @p net_seed and @p verify (the sweep passes
+ * the point's split seed and Off; rmbsim its --seed and Cheap).
+ * @p fault_plan arms transient-fault recovery for a scripted fault
+ * plan, as a non-zero fault_mtbf does.
+ */
+std::unique_ptr<net::Network>
+makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
+            std::uint64_t net_seed, core::VerifyLevel verify,
+            std::string &error, bool fault_plan = false);
+
+/**
+ * The source-destination pairs of a batch workload on @p n nodes;
+ * empty for stochastic workloads, or with @p error set when the
+ * workload does not fit @p n (bitrev on 12 nodes, ...).
+ */
+workload::PairList batchPairs(const PointConfig &pt, net::NodeId n,
+                              sim::Random &rng, std::string &error);
+
+/** The traffic pattern of a stochastic workload on @p n nodes, or
+ *  nullptr with @p error set. */
+std::unique_ptr<workload::TrafficPattern>
+stochasticPattern(const PointConfig &pt, net::NodeId n,
+                  std::string &error);
 
 /** One completed point, as seen by a progress observer. */
 struct Progress

@@ -1,44 +1,19 @@
 #include "exp/spec.hh"
 
-#include <cmath>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
-#include "obs/json.hh"
 #include "sim/random.hh"
 
 namespace rmb {
 namespace exp {
 
 namespace {
-
-/** Workload name prefixes that carry a parameter suffix. */
-bool
-hasPrefix(const std::string &s, const char *prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
-
-bool
-knownNetwork(const std::string &n)
-{
-    static const std::set<std::string> names = {
-        "rmb",  "dualring",  "torus", "multibus", "ring",
-        "mesh", "hypercube", "ehc",   "fattree",  "wormhole"};
-    return names.count(n) != 0;
-}
-
-bool
-knownWorkload(const std::string &w)
-{
-    static const std::set<std::string> names = {
-        "randperm", "bitrev",  "shuffle", "transpose",
-        "tornado",  "uniform"};
-    return names.count(w) != 0 || hasPrefix(w, "rot:") ||
-           hasPrefix(w, "hrel:") || hasPrefix(w, "local:") ||
-           hasPrefix(w, "hotspot:");
-}
 
 std::string
 typeError(const std::string &field, const char *want,
@@ -48,207 +23,492 @@ typeError(const std::string &field, const char *want,
            got.kindName() + " " + got.serialize();
 }
 
-bool
-getU32(const obs::JsonValue &v, std::uint32_t &out)
+/**
+ * How a field value is spelled and checked.  Each kind has one
+ * checker, check(), shared by spec JSON values and rmbsim flag text.
+ */
+enum class Kind
 {
-    std::uint64_t wide = 0;
-    if (!v.asUint64(wide) || wide > UINT32_MAX)
-        return false;
-    out = static_cast<std::uint32_t>(wide);
-    return true;
+    U32,      //!< non-negative integer <= UINT32_MAX
+    U64,      //!< non-negative integer
+    Real,     //!< number in (0, 1] (the injection rate)
+    Prob,     //!< probability in [0, 1]
+    Bool,     //!< true | false
+    Enum,     //!< a word, stored as the enumerator of its index
+    Suffixed, //!< a word, or a prefix word plus a checked value
+    Dims,     //!< grid shape "AxBxC"
+};
+
+/** When echo() writes a field: NonDefault for fields added after
+ *  baselines were recorded, Never for execution strategy, which is
+ *  no part of an experiment's identity. */
+enum class Echo { Always, NonDefault, Never };
+
+/** A checked value; an Enum field's is the index of its word. */
+using Value = std::variant<std::uint64_t, double, bool, std::string>;
+
+/** A parameterised word of a Suffixed field ("local:" + distance). */
+struct Suffix
+{
+    const char *prefix;
+    const char *meta; //!< the value's name in messages
+    Kind kind;        //!< U32, U64 or Prob
+    std::uint64_t min = 0;
+};
+
+/** The words an Enum (in enumerator order) or Suffixed field takes. */
+struct Choices
+{
+    std::vector<std::string> words;
+    std::vector<Suffix> suffixes;
+};
+
+/** @p c's words and suffix forms, joined by @p sep. */
+std::string
+listChoices(const Choices &c, const char *sep)
+{
+    std::string all;
+    for (const std::string &w : c.words)
+        all += (all.empty() ? "" : sep) + w;
+    for (const Suffix &s : c.suffixes)
+        all += sep + std::string(s.prefix) + '<' + s.meta + '>';
+    return all;
+}
+
+/** What @p kind accepts, for error messages. */
+std::string
+describe(Kind kind, const Choices *c, std::uint64_t min)
+{
+    const std::string lo = std::to_string(min);
+    switch (kind) {
+    case Kind::U32:
+        return min == 0 ? "a non-negative integer <= 4294967295"
+                        : "an integer in [" + lo + ", 4294967295]";
+    case Kind::U64:
+        return min == 0 ? "a non-negative integer"
+                        : "an integer >= " + lo;
+    case Kind::Real:
+        return "a number in (0, 1]";
+    case Kind::Prob:
+        return "a probability in [0, 1]";
+    case Kind::Bool:
+        return "a boolean (true or false)";
+    case Kind::Dims:
+        return "a grid shape like 4x4x4";
+    default:
+        return "one of " + listChoices(*c, ", ");
+    }
+}
+
+/**
+ * The checker: read @p text - or @p json, when not null - as
+ * @p kind.  Store the value in @p out and return "", or return what
+ * @p kind accepts.
+ */
+std::string
+check(Kind kind, const obs::JsonValue *json, std::string_view text,
+      Value &out, const Choices *c = nullptr, std::uint64_t min = 0)
+{
+    if (json != nullptr) {
+        // A JSON value must have the kind's JSON type; its text (a
+        // number's source token) then takes the flag-text path.
+        const bool typed =
+            kind == Kind::Bool ? json->isBool()
+            : kind == Kind::U32 || kind == Kind::U64 ||
+                    kind == Kind::Real || kind == Kind::Prob
+                ? json->isNumber()
+                : json->isString();
+        if (!typed)
+            return describe(kind, c, min);
+        text = json->isBool()     ? (json->boolean() ? "true" : "false")
+               : json->isNumber() ? std::string_view(json->numberToken())
+                                  : std::string_view(json->string());
+    }
+    std::uint64_t u = 0;
+    double d = 0.0;
+    bool ok = false;
+    switch (kind) {
+    case Kind::U32:
+    case Kind::U64:
+        ok = parseUint(text, u) && u >= min &&
+             (kind == Kind::U64 || u <= UINT32_MAX);
+        out = u;
+        break;
+    case Kind::Real:
+    case Kind::Prob: {
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, d);
+        // NaN and the infinities fail the range comparisons.
+        ok = ec == std::errc{} && ptr == end &&
+             (kind == Kind::Real ? d > 0.0 : d >= 0.0) && d <= 1.0;
+        out = d;
+        break;
+    }
+    case Kind::Bool:
+        ok = text == "true" || text == "false";
+        out = text == "true";
+        break;
+    case Kind::Dims: {
+        std::vector<std::uint32_t> dims;
+        ok = parseDims(text, dims);
+        out = std::string(text);
+        break;
+    }
+    case Kind::Enum:
+    case Kind::Suffixed:
+        for (std::size_t i = 0; i < c->words.size(); ++i) {
+            if (text != c->words[i])
+                continue;
+            if (kind == Kind::Enum)
+                out = std::uint64_t{i};
+            else
+                out = std::string(text);
+            return "";
+        }
+        for (const Suffix &s : c->suffixes) {
+            const std::size_t len = std::strlen(s.prefix);
+            if (text.substr(0, len) != s.prefix)
+                continue;
+            if (!check(s.kind, nullptr, text.substr(len), out, nullptr,
+                       s.min).empty()) {
+                return std::string(s.prefix) + '<' + s.meta +
+                       "> with " + s.meta + ' ' +
+                       describe(s.kind, nullptr, s.min);
+            }
+            out = std::string(text);
+            return "";
+        }
+        break;
+    }
+    return ok ? "" : describe(kind, c, min);
+}
+
+// A row reaches its slot - a member of the PointConfig or of the
+// RmbConfig it embeds - through one get/put pair per member.
+
+template <typename C, typename T> C classOf(T C::*);
+
+template <auto M, typename P>
+auto &
+member(P &p)
+{
+    if constexpr (std::is_same_v<decltype(classOf(M)), core::RmbConfig>)
+        return p.net.*M;
+    else
+        return p.*M;
+}
+
+/** Value holds these member types as they are; integers and enums
+ *  as a uint64. */
+template <typename T>
+constexpr bool kAsIs = std::is_same_v<T, double> ||
+                       std::is_same_v<T, bool> ||
+                       std::is_same_v<T, std::string>;
+
+template <auto M>
+Value
+getMember(const PointConfig &p)
+{
+    const auto &v = member<M>(p);
+    if constexpr (kAsIs<std::decay_t<decltype(v)>>)
+        return v;
+    else
+        return static_cast<std::uint64_t>(v);
+}
+
+template <auto M>
+void
+putMember(PointConfig &p, Value &&v)
+{
+    auto &slot = member<M>(p);
+    using T = std::decay_t<decltype(slot)>;
+    if constexpr (kAsIs<T>)
+        slot = std::move(std::get<T>(v));
+    else
+        slot = static_cast<T>(std::get<std::uint64_t>(v));
+}
+
+/** blocking spans two RmbConfig fields: "nack", "wait", "wait:<t>". */
+Value
+getBlocking(const PointConfig &p)
+{
+    std::string s = core::blockingPolicyName(p.net.blocking);
+    if (p.net.headerTimeout > 0)
+        s += ':' + std::to_string(p.net.headerTimeout);
+    return s;
+}
+
+void
+putBlocking(PointConfig &p, Value &&v)
+{
+    const std::string &s = std::get<std::string>(v);
+    const std::size_t colon = s.find(':');
+    const auto nack = core::BlockingPolicy::NackRetry;
+    p.net.blocking = s == core::blockingPolicyName(nack)
+                         ? nack
+                         : core::BlockingPolicy::Wait;
+    p.net.headerTimeout = 0;
+    if (colon != std::string::npos)
+        parseUint(std::string_view(s).substr(colon + 1),
+                  p.net.headerTimeout);
+}
+
+/** One row of the field table. */
+struct Field
+{
+    const char *name;
+    Kind kind;
+    Value (*get)(const PointConfig &);
+    void (*put)(PointConfig &, Value &&);
+    const char *help;
+    Echo echo;
+    const Choices *choices;
+    bool sweepOnly; //!< no rmbsim flag
+};
+
+template <auto M>
+Field
+row(const char *name, Kind kind, const char *help,
+    const Choices *choices = nullptr, Echo echo = Echo::Always,
+    bool sweep_only = false)
+{
+    return {name,  kind, &getMember<M>, &putMember<M>,
+            help, echo, choices,       sweep_only};
+}
+
+const Choices kNetworks{{"rmb", "dualring", "torus", "grid", "ring",
+                         "mesh", "hypercube", "ehc", "fattree",
+                         "multibus", "wormhole"},
+                        {}};
+const Choices kWorkloads{{"randperm", "bitrev", "shuffle", "transpose",
+                          "tornado", "uniform"},
+                         {{"rot:", "s", Kind::U32},
+                          {"hrel:", "h", Kind::U32, 1},
+                          {"local:", "d", Kind::U32, 1},
+                          {"hotspot:", "f", Kind::Prob}}};
+const Choices kEngines{{core::engineKindName(core::EngineKind::Event),
+                        core::engineKindName(core::EngineKind::Kernel)},
+                       {}};
+const Choices kTopologies{
+    {core::topologyKindName(core::TopologyKind::Flat),
+     core::topologyKindName(core::TopologyKind::Hier)},
+    {}};
+const Choices kHeaders{
+    {core::headerPolicyName(core::HeaderPolicy::PreferLowest),
+     core::headerPolicyName(core::HeaderPolicy::PreferStraight)},
+    {}};
+const Choices kBlocking{
+    {core::blockingPolicyName(core::BlockingPolicy::NackRetry),
+     core::blockingPolicyName(core::BlockingPolicy::Wait)},
+    {{"wait:", "t", Kind::U64}}};
+
+using C = core::RmbConfig;
+using P = PointConfig;
+constexpr Echo kIfSet = Echo::NonDefault;
+
+/** The field table: every settable field, once, in echo order. */
+const std::vector<Field> &
+table()
+{
+    static const std::vector<Field> rows = {
+        row<&P::network>("network", Kind::Suffixed, "network to simulate",
+                         &kNetworks),
+        row<&C::numNodes>("nodes", Kind::U32, "ring nodes N"),
+        row<&C::numBuses>("buses", Kind::U32, "bus levels k per gap"),
+        row<&P::width>("width", Kind::U32, "torus / mesh width"),
+        row<&P::height>("height", Kind::U32, "torus / mesh height"),
+        row<&P::dims>("dims", Kind::Dims, "grid: ring size per dimension",
+                      nullptr, kIfSet),
+        row<&P::workload>("workload", Kind::Suffixed,
+                          "batch permutation or stochastic pattern",
+                          &kWorkloads),
+        row<&P::rate>("rate", Kind::Real, "messages per node per tick"),
+        row<&P::payload>("payload", Kind::U32, "data flits per message"),
+        row<&P::duration>("duration", Kind::U64,
+                          "stochastic generation window, ticks"),
+        row<&P::timeout>("timeout", Kind::U64,
+                         "tick budget (batch) or drain bound"),
+        row<&C::enableCompaction>("compaction", Kind::Bool,
+                                  "run the compaction protocol"),
+        row<&C::engine>("engine", Kind::Enum, "RMB backend", &kEngines),
+        row<&C::topology>("topology", Kind::Enum,
+                          "one ring, or rings behind bridges",
+                          &kTopologies),
+        row<&C::localRings>("local_rings", Kind::U32,
+                            "hier: local ring count"),
+        row<&C::globalBuses>("global_buses", Kind::U32,
+                             "hier: global ring levels, 0 = buses"),
+        row<&C::bridgeLatency>("bridge_latency", Kind::U64,
+                               "hier: ticks per bridge hop"),
+        row<&C::bridgeBuffer>("bridge_buffer", Kind::U32,
+                              "hier: slots per bridge"),
+        row<&C::shardJobs>("shard_jobs", Kind::U32,
+                           "hier: threads, 0 = auto; result-neutral",
+                           nullptr, Echo::Never),
+        {"blocking", Kind::Suffixed, &getBlocking, &putBlocking,
+         "blocked header: retry, or hold (t: timeout)", Echo::Always,
+         &kBlocking, false},
+        row<&C::headerPolicy>("header", Kind::Enum,
+                              "level an advancing header prefers",
+                              &kHeaders),
+        row<&C::sendPorts>("send_ports", Kind::U32, "sends per PE"),
+        row<&C::receivePorts>("receive_ports", Kind::U32,
+                              "receives per PE"),
+        row<&C::detailedFlits>("detailed_flits", Kind::Bool,
+                               "per-flit Dack flow control"),
+        row<&C::faultMtbf>("fault_mtbf", Kind::U64,
+                           "mean ticks between faults, 0 = none"),
+        row<&C::faultMttrMin>("fault_mttr_min", Kind::U64,
+                              "shortest repair delay"),
+        row<&C::faultMttrMax>("fault_mttr_max", Kind::U64,
+                              "longest repair delay"),
+        row<&C::faultPermanentProb>("fault_permanent_prob", Kind::Prob,
+                                    "chance a fault never repairs",
+                                    nullptr, kIfSet),
+        row<&C::faultNodeProb>("fault_node_prob", Kind::Prob,
+                               "chance a fault takes a whole node",
+                               nullptr, kIfSet),
+        row<&C::faultBridgeProb>("fault_bridge_prob", Kind::Prob,
+                                 "hier: chance a fault takes a bridge",
+                                 nullptr, kIfSet),
+        row<&C::watchdogTimeout>("watchdog", Kind::U64,
+                                 "supervisor timeout, 0 = off"),
+        row<&C::maxRetries>("max_retries", Kind::U32,
+                            "retries per message, 0 = unlimited"),
+        // rmbsim has its own --timeline, with other semantics.
+        row<&P::timelinePeriod>("timeline_period", Kind::U64,
+                                "per-point timeline period, 0 = off",
+                                nullptr, kIfSet, true),
+    };
+    return rows;
+}
+
+/** The row named @p name; if none, an error listing every row. */
+const Field *
+find(const std::string &name, std::string &error)
+{
+    for (const Field &f : table())
+        if (name == f.name)
+            return &f;
+    std::string known;
+    for (const Field &f : table())
+        known += (known.empty() ? "" : ", ") + std::string(f.name);
+    error = "unknown field '" + name + "' (known fields: " + known + ")";
+    return nullptr;
+}
+
+/** @p v in setText() spelling. */
+std::string
+spell(const Field &f, const Value &v)
+{
+    if (f.kind == Kind::Enum)
+        return f.choices->words[std::get<std::uint64_t>(v)];
+    std::ostringstream out;
+    out << std::boolalpha;
+    std::visit([&](const auto &x) { out << x; }, v);
+    return out.str();
+}
+
+/** set() and setText(): check the value, then store it. */
+std::string
+assign(PointConfig &p, const std::string &field,
+       const obs::JsonValue *json, std::string_view text)
+{
+    std::string error;
+    const Field *f = find(field, error);
+    if (f == nullptr)
+        return error;
+    Value v;
+    const std::string want = check(f->kind, json, text, v, f->choices);
+    if (want.empty())
+        f->put(p, std::move(v));
+    else if (json != nullptr)
+        return typeError(field, want.c_str(), *json);
+    else
+        return "expects " + want + ", got '" + std::string(text) + "'";
+    return "";
 }
 
 } // namespace
 
+bool
+parseUint(std::string_view text, std::uint64_t &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
+bool
+parseDims(std::string_view text, std::vector<std::uint32_t> &dims)
+{
+    dims.clear();
+    for (;;) {
+        const std::size_t x = text.find('x');
+        std::uint64_t d = 0;
+        if (!parseUint(text.substr(0, x), d) || d > UINT32_MAX)
+            return false;
+        dims.push_back(static_cast<std::uint32_t>(d));
+        if (x == std::string_view::npos)
+            return true;
+        text.remove_prefix(x + 1);
+    }
+}
+
 std::string
 PointConfig::set(const std::string &field, const obs::JsonValue &value)
 {
-    auto u32 = [&](std::uint32_t &slot) -> std::string {
-        if (!getU32(value, slot))
-            return typeError(field, "a non-negative integer", value);
-        return "";
-    };
-    auto u64 = [&](std::uint64_t &slot) -> std::string {
-        if (!value.asUint64(slot))
-            return typeError(field, "a non-negative integer", value);
-        return "";
-    };
-    auto str = [&](std::string &slot) -> std::string {
-        if (!value.isString())
-            return typeError(field, "a string", value);
-        slot = value.string();
-        return "";
-    };
-    auto boolean = [&](bool &slot) -> std::string {
-        if (!value.isBool())
-            return typeError(field, "a boolean", value);
-        slot = value.boolean();
-        return "";
-    };
-    // Probabilities get their own gate: NaN compares false against
-    // every bound, so a plain range check would silently admit it.
-    auto prob = [&](double &slot) -> std::string {
-        if (!value.isNumber() || std::isnan(value.number()) ||
-            value.number() < 0.0 || value.number() > 1.0) {
-            return typeError(field, "a probability in [0, 1]",
-                             value);
-        }
-        slot = value.number();
-        return "";
-    };
-
-    if (field == "network") {
-        const std::string err = str(network);
-        if (!err.empty())
-            return err;
-        if (!knownNetwork(network)) {
-            return "unknown network '" + network +
-                   "' (try rmb, dualring, torus, multibus, ring,"
-                   " mesh, hypercube, ehc, fattree or wormhole)";
-        }
-        return "";
-    }
-    if (field == "workload") {
-        const std::string err = str(workload);
-        if (!err.empty())
-            return err;
-        if (!knownWorkload(workload)) {
-            return "unknown workload '" + workload +
-                   "' (try randperm, bitrev, shuffle, transpose,"
-                   " tornado, rot:<s>, hrel:<h>, uniform, local:<d>"
-                   " or hotspot:<f>)";
-        }
-        return "";
-    }
-    if (field == "nodes")
-        return u32(nodes);
-    if (field == "buses")
-        return u32(buses);
-    if (field == "width")
-        return u32(width);
-    if (field == "height")
-        return u32(height);
-    if (field == "rate") {
-        if (!value.isNumber() || std::isnan(value.number()) ||
-            value.number() <= 0.0 || value.number() > 1.0) {
-            return typeError(field, "a number in (0, 1]", value);
-        }
-        rate = value.number();
-        return "";
-    }
-    if (field == "payload")
-        return u32(payload);
-    if (field == "duration")
-        return u64(duration);
-    if (field == "timeout")
-        return u64(timeout);
-    if (field == "compaction")
-        return boolean(compaction);
-    if (field == "engine") {
-        const std::string err = str(engine);
-        if (!err.empty())
-            return err;
-        if (engine != "event" && engine != "kernel") {
-            return "field 'engine' expects event or kernel, got '" +
-                   engine + "'";
-        }
-        return "";
-    }
-    if (field == "topology") {
-        const std::string err = str(topology);
-        if (!err.empty())
-            return err;
-        if (topology != "flat" && topology != "hier") {
-            return "field 'topology' expects flat or hier, got '" +
-                   topology + "'";
-        }
-        return "";
-    }
-    if (field == "local_rings")
-        return u32(localRings);
-    if (field == "global_buses")
-        return u32(globalBuses);
-    if (field == "bridge_latency")
-        return u64(bridgeLatency);
-    if (field == "bridge_buffer")
-        return u32(bridgeBuffer);
-    if (field == "shard_jobs")
-        return u32(shardJobs);
-    if (field == "blocking") {
-        const std::string err = str(blocking);
-        if (!err.empty())
-            return err;
-        if (blocking != "nack" && blocking != "wait" &&
-            !hasPrefix(blocking, "wait:")) {
-            return "field 'blocking' expects nack, wait or"
-                   " wait:<timeout>, got '" +
-                   blocking + "'";
-        }
-        return "";
-    }
-    if (field == "header") {
-        const std::string err = str(header);
-        if (!err.empty())
-            return err;
-        if (header != "lowest" && header != "straight") {
-            return "field 'header' expects lowest or straight,"
-                   " got '" +
-                   header + "'";
-        }
-        return "";
-    }
-    if (field == "send_ports")
-        return u32(sendPorts);
-    if (field == "receive_ports")
-        return u32(receivePorts);
-    if (field == "detailed_flits")
-        return boolean(detailedFlits);
-    if (field == "fault_mtbf")
-        return u64(faultMtbf);
-    if (field == "fault_mttr_min")
-        return u64(faultMttrMin);
-    if (field == "fault_mttr_max")
-        return u64(faultMttrMax);
-    if (field == "fault_permanent_prob")
-        return prob(faultPermanentProb);
-    if (field == "fault_node_prob")
-        return prob(faultNodeProb);
-    if (field == "fault_bridge_prob")
-        return prob(faultBridgeProb);
-    if (field == "watchdog")
-        return u64(watchdog);
-    if (field == "max_retries")
-        return u32(maxRetries);
-    // Same hardening as the fault ticks: asUint64 only accepts an
-    // exact non-negative integer token, so NaN, negatives and
-    // fractions are rejected with the actionable message below.
-    if (field == "timeline_period")
-        return u64(timelinePeriod);
-
-    std::string known;
-    for (const auto &f : knownFields())
-        known += (known.empty() ? "" : ", ") + f;
-    return "unknown field '" + field + "' (known fields: " + known +
-           ")";
+    return assign(*this, field, &value, {});
 }
 
-const std::vector<std::string> &
+std::string
+PointConfig::setText(const std::string &field, std::string_view text)
+{
+    return assign(*this, field, nullptr, text);
+}
+
+std::string
+PointConfig::text(const std::string &field) const
+{
+    std::string error;
+    const Field *f = find(field, error);
+    return f == nullptr ? error : spell(*f, f->get(*this));
+}
+
+void
+PointConfig::echo(obs::JsonWriter &json) const
+{
+    static const PointConfig defaults;
+    for (const Field &f : table()) {
+        const Value v = f.get(*this);
+        if (f.echo == Echo::Never ||
+            (f.echo == Echo::NonDefault && v == f.get(defaults)))
+            continue;
+        if (f.kind == Kind::Enum)
+            json.field(f.name, spell(f, v));
+        else
+            std::visit([&](const auto &x) { json.field(f.name, x); }, v);
+    }
+}
+
+const std::vector<FieldInfo> &
 PointConfig::knownFields()
 {
-    static const std::vector<std::string> fields = {
-        "network",    "nodes",         "buses",
-        "width",      "height",        "workload",
-        "rate",       "payload",       "duration",
-        "timeout",    "compaction",    "engine",
-        "topology",   "local_rings",   "global_buses",
-        "bridge_latency", "bridge_buffer", "shard_jobs",
-        "blocking",
-        "header",     "send_ports",    "receive_ports",
-        "detailed_flits",
-        "fault_mtbf", "fault_mttr_min", "fault_mttr_max",
-        "fault_permanent_prob", "fault_node_prob",
-        "fault_bridge_prob",
-        "watchdog",   "max_retries",   "timeline_period"};
+    static const std::vector<FieldInfo> fields = [] {
+        std::vector<FieldInfo> out;
+        for (const Field &f : table()) {
+            std::string value = f.kind == Kind::Bool ? "true|false"
+                                : f.kind == Kind::Dims ? "AxBxC"
+                                : f.kind == Kind::Real ||
+                                        f.kind == Kind::Prob
+                                    ? "P"
+                                    : "N";
+            if (f.choices != nullptr)
+                value = listChoices(*f.choices, "|");
+            out.push_back({f.name, value, f.help, f.sweepOnly});
+        }
+        return out;
+    }();
     return fields;
 }
 
@@ -456,51 +716,7 @@ SweepSpec::canonicalJson() const
                            : std::string("cartesian"));
     json.field("seed", masterSeed_);
     json.beginObject("base");
-    json.field("network", base_.network);
-    json.field("nodes", std::uint64_t{base_.nodes});
-    json.field("buses", std::uint64_t{base_.buses});
-    json.field("width", std::uint64_t{base_.width});
-    json.field("height", std::uint64_t{base_.height});
-    json.field("workload", base_.workload);
-    json.field("rate", base_.rate);
-    json.field("payload", std::uint64_t{base_.payload});
-    json.field("duration", std::uint64_t{base_.duration});
-    json.field("timeout", std::uint64_t{base_.timeout});
-    json.field("compaction", base_.compaction);
-    json.field("engine", base_.engine);
-    json.field("topology", base_.topology);
-    json.field("local_rings", std::uint64_t{base_.localRings});
-    json.field("global_buses", std::uint64_t{base_.globalBuses});
-    json.field("bridge_latency",
-               std::uint64_t{base_.bridgeLatency});
-    json.field("bridge_buffer", std::uint64_t{base_.bridgeBuffer});
-    // shard_jobs is deliberately omitted: it is an execution
-    // strategy, not part of the experiment's identity, and reports
-    // must stay byte-identical across job counts.
-    json.field("blocking", base_.blocking);
-    json.field("header", base_.header);
-    json.field("send_ports", std::uint64_t{base_.sendPorts});
-    json.field("receive_ports", std::uint64_t{base_.receivePorts});
-    json.field("detailed_flits", base_.detailedFlits);
-    json.field("fault_mtbf", std::uint64_t{base_.faultMtbf});
-    json.field("fault_mttr_min", std::uint64_t{base_.faultMttrMin});
-    json.field("fault_mttr_max", std::uint64_t{base_.faultMttrMax});
-    // Permanent/node/bridge fault knobs appear only when set, so
-    // specs predating them canonicalise byte-identically to their
-    // checked-in baselines.
-    if (base_.faultPermanentProb > 0.0)
-        json.field("fault_permanent_prob", base_.faultPermanentProb);
-    if (base_.faultNodeProb > 0.0)
-        json.field("fault_node_prob", base_.faultNodeProb);
-    if (base_.faultBridgeProb > 0.0)
-        json.field("fault_bridge_prob", base_.faultBridgeProb);
-    json.field("watchdog", std::uint64_t{base_.watchdog});
-    json.field("max_retries", std::uint64_t{base_.maxRetries});
-    // Like the fault knobs above: emitted only when set, so specs
-    // predating the field canonicalise byte-identically.
-    if (base_.timelinePeriod > 0)
-        json.field("timeline_period",
-                   std::uint64_t{base_.timelinePeriod});
+    base_.echo(json);
     json.endObject();
     json.beginArray("axes");
     for (const Axis &axis : axes_) {

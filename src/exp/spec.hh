@@ -20,17 +20,32 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/json_value.hh"
+#include "rmb/config.hh"
 #include "sim/types.hh"
 
 namespace rmb {
 namespace exp {
 
+/** What rmbsim --help and error messages say about one field. */
+struct FieldInfo
+{
+    std::string name;  //!< spec key; rmbsim's flag is --name, '_' as '-'
+    std::string value; //!< the accepted values, e.g. "N" or "flat|hier"
+    std::string help;  //!< one line of documentation
+    bool sweepOnly;    //!< no rmbsim flag (timeline_period)
+};
+
 /**
- * One grid point: a complete, self-contained simulation recipe.
- * Defaults mirror rmbsim's.
+ * One run recipe: a complete, self-contained simulation - a sweep's
+ * grid point, or one rmbsim invocation.  Every settable field is one
+ * row of the field table in spec.cc, which holds its name, kind,
+ * help text and echo rule; the table drives set(), the canonical
+ * echo, and rmbsim's flags, --help and config digest.
  */
 struct PointConfig
 {
@@ -40,50 +55,35 @@ struct PointConfig
     /** Human-readable "field=value" summary of the axis choices. */
     std::string label;
 
-    /** Per-point seed split from the spec's master seed. */
+    /** Per-point seed (a sweep splits it from the master seed). */
     std::uint64_t seed = 1;
 
+    /**
+     * Every RMB-backed field, declared once with its default in
+     * rmb/config.hh: geometry, ports, compaction, engine, topology,
+     * hierarchy, blocking, header policy, faults and supervisor.  The
+     * network factory (exp/eval.hh) sets its seed, verify level and
+     * transientFaults.
+     */
+    core::RmbConfig net;
+
     std::string network = "rmb";
-    std::uint32_t nodes = 16;
-    std::uint32_t buses = 4;
-    std::uint32_t width = 4;  //!< torus / mesh only
-    std::uint32_t height = 4; //!< torus / mesh only
+    std::uint32_t width = 4;    //!< torus / mesh only
+    std::uint32_t height = 4;   //!< torus / mesh only
+    std::string dims = "4x4x4"; //!< grid only: ring size per dimension
 
     std::string workload = "randperm";
     double rate = 0.001;          //!< stochastic workloads
     std::uint32_t payload = 32;   //!< data flits per message
     sim::Tick duration = 50'000;  //!< stochastic generation window
 
-    bool compaction = true;
-    std::string engine = "event";  //!< rmb backend: event | kernel
-
-    /** Hierarchy (network=rmb only): flat single ring or hier
-     *  multi-ring behind bridge INCs (docs/HIERARCHY.md). */
-    std::string topology = "flat"; //!< flat | hier
-    std::uint32_t localRings = 4;  //!< hier: local ring count
-    std::uint32_t globalBuses = 0; //!< hier: 0 = same as buses
-    sim::Tick bridgeLatency = 8;   //!< hier: ticks per bridge hop
-    std::uint32_t bridgeBuffer = 4; //!< hier: slots per bridge
-    std::uint32_t shardJobs = 1;   //!< hier threads; result-neutral
-
-    std::string blocking = "nack"; //!< nack | wait | wait:<t>
-    std::string header = "lowest"; //!< lowest | straight
-    std::uint32_t sendPorts = 1;
-    std::uint32_t receivePorts = 1;
-    bool detailedFlits = false;
-
-    /** Transient-fault process (rmb-family networks): 0 = off. */
-    sim::Tick faultMtbf = 0;
-    sim::Tick faultMttrMin = 500;
-    sim::Tick faultMttrMax = 2'000;
-    /** Chance a scheduled fault never repairs (docs/FAULTS.md). */
-    double faultPermanentProb = 0.0;
-    /** Chance a fault takes out every level at its gap. */
-    double faultNodeProb = 0.0;
-    /** Chance a fault lands on a hier bridge (topology=hier). */
-    double faultBridgeProb = 0.0;
-    sim::Tick watchdog = 0;       //!< source watchdog, 0 = off
-    std::uint32_t maxRetries = 0; //!< 0 = unlimited
+    /**
+     * Simulated-tick budget: batch workloads abort (point marked
+     * incomplete, sweep continues) after this many ticks; stochastic
+     * workloads use it as the post-generation drain bound.  This is
+     * what keeps one diverging configuration from hanging a sweep.
+     */
+    sim::Tick timeout = 10'000'000;
 
     /**
      * Sample a per-point timeline every this many ticks (0 = off).
@@ -94,29 +94,52 @@ struct PointConfig
      */
     sim::Tick timelinePeriod = 0;
 
-    /**
-     * Simulated-tick budget: batch workloads abort (point marked
-     * incomplete, sweep continues) after this many ticks; stochastic
-     * workloads use it as the post-generation drain bound.  This is
-     * what keeps one diverging configuration from hanging a sweep.
-     */
-    sim::Tick timeout = 10'000'000;
-
     /** Axis assignments applied to this point, in axis order, as
      *  (field, serialised JSON value) - for report "params". */
     std::vector<std::pair<std::string, std::string>> params;
 
     /**
-     * Assign @p value to the field named @p field.
+     * Assign the spec JSON @p value to the field named @p field.
      * @return empty string on success, else one actionable error
      * ("unknown field", "expects a number", ...).
      */
     std::string set(const std::string &field,
                     const obs::JsonValue &value);
 
-    /** All settable field names, for error messages and docs. */
-    static const std::vector<std::string> &knownFields();
+    /**
+     * Assign the flag text @p text (rmbsim spelling: "16", "kernel",
+     * "true") through the same checker as set().  @return empty on
+     * success, else "expects <what>, got '<text>'".
+     */
+    std::string setText(const std::string &field,
+                        std::string_view text);
+
+    /** The current value of @p field in setText() spelling. */
+    std::string text(const std::string &field) const;
+
+    /**
+     * Write every field as members of @p json's open object, in
+     * table order, following each row's echo rule (shard_jobs never;
+     * the fault probabilities, dims and timeline_period only when
+     * they differ from the default, so older specs keep their bytes).
+     */
+    void echo(obs::JsonWriter &json) const;
+
+    /** Every row of the field table, in table order. */
+    static const std::vector<FieldInfo> &knownFields();
 };
+
+/**
+ * Strict decimal: all of @p text is one non-negative integer that
+ * fits a uint64 - no sign, space, junk or overflow.
+ */
+bool parseUint(std::string_view text, std::uint64_t &out);
+
+/**
+ * Parse a grid shape "AxBxC" into @p dims (one ring size per
+ * dimension).  @return false on empty parts, junk or overflow.
+ */
+bool parseDims(std::string_view text, std::vector<std::uint32_t> &dims);
 
 /** One swept dimension: a field name and its candidate values. */
 struct Axis

@@ -214,6 +214,19 @@ RmbConfig::validate() const
 }
 
 const char *
+blockingPolicyName(BlockingPolicy policy)
+{
+    return policy == BlockingPolicy::Wait ? "wait" : "nack";
+}
+
+const char *
+headerPolicyName(HeaderPolicy policy)
+{
+    return policy == HeaderPolicy::PreferStraight ? "straight"
+                                                  : "lowest";
+}
+
+const char *
 engineKindName(EngineKind kind)
 {
     switch (kind) {

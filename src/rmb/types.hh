@@ -53,6 +53,9 @@ enum class BlockingPolicy : std::uint8_t
     NackRetry,
 };
 
+/** Stable lowercase name of @p policy ("wait" / "nack"). */
+const char *blockingPolicyName(BlockingPolicy policy);
+
 /**
  * Which output level an advancing header flit prefers at each INC
  * (among the legal {l-1, l, l+1} from its input level l).
@@ -73,6 +76,9 @@ enum class HeaderPolicy : std::uint8_t
      */
     PreferStraight,
 };
+
+/** Stable lowercase name of @p policy ("lowest" / "straight"). */
+const char *headerPolicyName(HeaderPolicy policy);
 
 /**
  * Which simulation backend executes the RMB protocol.  Both engines

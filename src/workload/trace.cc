@@ -50,7 +50,7 @@ writeTrace(std::ostream &os, const Trace &trace)
 }
 
 Trace
-readTrace(std::istream &is)
+readTrace(std::istream &is, net::NodeId num_nodes)
 {
     Trace trace;
     std::string line;
@@ -66,6 +66,14 @@ readTrace(std::istream &is)
             fatal("trace line ", line_no, " malformed: '", line,
                   "'");
         }
+        if (e.src >= num_nodes || e.dst >= num_nodes) {
+            fatal("trace line ", line_no, ": node ",
+                  std::max(e.src, e.dst), " is out of range for a ",
+                  num_nodes, "-node network");
+        }
+        if (e.src == e.dst)
+            fatal("trace line ", line_no, ": node ", e.src,
+                  " sends to itself");
         trace.push_back(e);
     }
     std::stable_sort(trace.begin(), trace.end(),

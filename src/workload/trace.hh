@@ -58,10 +58,14 @@ Trace generateTrace(TrafficPattern &pattern, double rate,
 void writeTrace(std::ostream &os, const Trace &trace);
 
 /**
- * Parse a trace; fatal() on malformed input (user error).  Events
- * are re-sorted by time if needed.
+ * Parse a trace; fatal() on malformed input (user error), naming the
+ * line - including an event whose src or dst is not below
+ * @p num_nodes, or that sends to itself, which the network it is
+ * replayed on could not accept.  Events are re-sorted by time if
+ * needed.
  */
-Trace readTrace(std::istream &is);
+Trace readTrace(std::istream &is,
+                net::NodeId num_nodes = UINT32_MAX);
 
 /** Result of replaying a trace. */
 struct ReplayResult

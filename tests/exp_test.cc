@@ -5,7 +5,10 @@
  * execution, report aggregation, and the baseline regression gate.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -139,14 +142,14 @@ TEST(SweepSpec, CartesianMaterialisation)
     const auto points = spec.points();
     ASSERT_EQ(points.size(), 4u);
     // Last axis varies fastest.
-    EXPECT_EQ(points[0].nodes, 8u);
-    EXPECT_EQ(points[0].buses, 2u);
-    EXPECT_EQ(points[1].nodes, 8u);
-    EXPECT_EQ(points[1].buses, 4u);
-    EXPECT_EQ(points[2].nodes, 16u);
-    EXPECT_EQ(points[2].buses, 2u);
-    EXPECT_EQ(points[3].nodes, 16u);
-    EXPECT_EQ(points[3].buses, 4u);
+    EXPECT_EQ(points[0].net.numNodes, 8u);
+    EXPECT_EQ(points[0].net.numBuses, 2u);
+    EXPECT_EQ(points[1].net.numNodes, 8u);
+    EXPECT_EQ(points[1].net.numBuses, 4u);
+    EXPECT_EQ(points[2].net.numNodes, 16u);
+    EXPECT_EQ(points[2].net.numBuses, 2u);
+    EXPECT_EQ(points[3].net.numNodes, 16u);
+    EXPECT_EQ(points[3].net.numBuses, 4u);
     // Base fields carry through; labels describe the axis choices.
     EXPECT_EQ(points[3].payload, 4u);
     EXPECT_NE(points[3].label.find("nodes=16"), std::string::npos);
@@ -178,8 +181,8 @@ TEST(SweepSpec, ZipMode)
         << joined(errors);
     ASSERT_EQ(spec.pointCount(), 3u);
     const auto points = spec.points();
-    EXPECT_EQ(points[1].nodes, 16u);
-    EXPECT_EQ(points[1].buses, 4u);
+    EXPECT_EQ(points[1].net.numNodes, 16u);
+    EXPECT_EQ(points[1].net.numBuses, 4u);
 }
 
 TEST(SweepSpec, ZipLengthMismatchIsActionable)
@@ -309,10 +312,10 @@ TEST(SweepSpec, FaultProbabilitiesCarryIntoPoints)
         << joined(errors);
     const auto points = spec.points();
     ASSERT_EQ(points.size(), 2u);
-    EXPECT_DOUBLE_EQ(points[0].faultPermanentProb, 0.25);
-    EXPECT_DOUBLE_EQ(points[0].faultNodeProb, 0.125);
-    EXPECT_DOUBLE_EQ(points[0].faultBridgeProb, 0.0);
-    EXPECT_DOUBLE_EQ(points[1].faultBridgeProb, 0.5);
+    EXPECT_DOUBLE_EQ(points[0].net.faultPermanentProb, 0.25);
+    EXPECT_DOUBLE_EQ(points[0].net.faultNodeProb, 0.125);
+    EXPECT_DOUBLE_EQ(points[0].net.faultBridgeProb, 0.0);
+    EXPECT_DOUBLE_EQ(points[1].net.faultBridgeProb, 0.5);
 
     // Zero-valued probability knobs stay out of the canonical form,
     // so specs predating them keep their baseline digests.
@@ -322,6 +325,196 @@ TEST(SweepSpec, FaultProbabilitiesCarryIntoPoints)
         << joined(errors);
     EXPECT_EQ(plain.canonicalJson().find("fault_permanent_prob"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// The field table
+// ---------------------------------------------------------------
+
+/**
+ * One valid, non-default JSON value per table row.  A row without a
+ * sample fails FieldTable.EverySampleIsARow... so new rows get
+ * covered by the tests below.
+ */
+const std::map<std::string, std::string> &
+samples()
+{
+    static const std::map<std::string, std::string> values = {
+        {"network", "\"torus\""},
+        {"nodes", "8"},
+        {"buses", "3"},
+        {"width", "5"},
+        {"height", "6"},
+        {"dims", "\"2x3\""},
+        {"workload", "\"local:3\""},
+        {"rate", "0.25"},
+        {"payload", "7"},
+        {"duration", "1234"},
+        {"timeout", "99"},
+        {"compaction", "false"},
+        {"engine", "\"kernel\""},
+        {"topology", "\"hier\""},
+        {"local_rings", "2"},
+        {"global_buses", "5"},
+        {"bridge_latency", "3"},
+        {"bridge_buffer", "9"},
+        {"shard_jobs", "4"},
+        {"blocking", "\"wait:40\""},
+        {"header", "\"straight\""},
+        {"send_ports", "2"},
+        {"receive_ports", "3"},
+        {"detailed_flits", "true"},
+        {"fault_mtbf", "700"},
+        {"fault_mttr_min", "11"},
+        {"fault_mttr_max", "22"},
+        {"fault_permanent_prob", "0.5"},
+        {"fault_node_prob", "0.125"},
+        {"fault_bridge_prob", "0.75"},
+        {"watchdog", "321"},
+        {"max_retries", "6"},
+        {"timeline_period", "50"},
+    };
+    return values;
+}
+
+obs::JsonValue
+parsed(const std::string &text)
+{
+    obs::JsonValue v;
+    std::string error;
+    EXPECT_TRUE(obs::jsonParse(text, v, error)) << text << ": " << error;
+    return v;
+}
+
+/** The flag-text spelling of a sample: strings lose their quotes. */
+std::string
+unquoted(const std::string &json)
+{
+    return json.front() == '"' ? json.substr(1, json.size() - 2) : json;
+}
+
+std::string
+echoed(const exp::PointConfig &pt)
+{
+    obs::JsonWriter json;
+    json.beginObject();
+    pt.echo(json);
+    json.endObject();
+    return json.str();
+}
+
+TEST(FieldTable, EverySampleIsARowAndEveryRowHasOne)
+{
+    std::set<std::string> rows;
+    for (const exp::FieldInfo &f : exp::PointConfig::knownFields()) {
+        EXPECT_TRUE(rows.insert(f.name).second) << f.name;
+        EXPECT_EQ(samples().count(f.name), 1u) << f.name;
+    }
+    EXPECT_EQ(rows.size(), samples().size());
+}
+
+TEST(FieldTable, EchoParseEchoIsAFixedPoint)
+{
+    exp::PointConfig varied;
+    for (const auto &[field, value] : samples()) {
+        EXPECT_EQ(varied.set(field, parsed(value)), "") << field;
+        EXPECT_EQ(varied.text(field), unquoted(value)) << field;
+    }
+    for (const exp::PointConfig &pt : {exp::PointConfig(), varied}) {
+        const std::string first = echoed(pt);
+        const obs::JsonValue doc = parsed(first);
+        exp::PointConfig again;
+        for (const auto &[field, value] : doc.members())
+            EXPECT_EQ(again.set(field, value), "") << field;
+        EXPECT_EQ(echoed(again), first);
+    }
+    // Every non-default field is echoed, except shard_jobs, which is
+    // result-neutral by the determinism contract.
+    const std::string all = echoed(varied);
+    for (const exp::FieldInfo &f : exp::PointConfig::knownFields()) {
+        EXPECT_EQ(all.find("\"" + f.name + "\":") != std::string::npos,
+                  f.name != "shard_jobs")
+            << f.name;
+    }
+}
+
+TEST(FieldTable, TextAndJsonSpellingsSetTheSameConfig)
+{
+    for (const auto &[field, value] : samples()) {
+        exp::PointConfig from_json;
+        exp::PointConfig from_text;
+        EXPECT_EQ(from_json.set(field, parsed(value)), "") << field;
+        EXPECT_EQ(from_text.setText(field, unquoted(value)), "")
+            << field;
+        for (const exp::FieldInfo &f : exp::PointConfig::knownFields())
+            EXPECT_EQ(from_json.text(f.name), from_text.text(f.name))
+                << "setting " << field << " moved " << f.name;
+    }
+}
+
+TEST(FieldTable, TextIsCheckedLikeJson)
+{
+    exp::PointConfig pt;
+    for (const auto &[field, text] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"nodes", "abc"},
+             {"nodes", "-1"},
+             {"nodes", "4294967296"},
+             {"fault_mtbf", " 5"},
+             {"rate", "0"},
+             {"rate", "nan"},
+             {"fault_node_prob", "1.5"},
+             {"compaction", "yes"},
+             {"engine", "foo"},
+             {"header", "foo"},
+             {"blocking", "wait:x"},
+             {"dims", "4xx4"},
+             {"workload", "hrel:0"}}) {
+        const std::string error = pt.setText(field, text);
+        EXPECT_NE(error.find("expects"), std::string::npos)
+            << field << "=" << text << ": " << error;
+        EXPECT_NE(error.find(text), std::string::npos) << error;
+    }
+    EXPECT_NE(pt.setText("bogus", "1").find("known fields"),
+              std::string::npos);
+    EXPECT_EQ(exp::PointConfig().text("nodes"), pt.text("nodes"));
+}
+
+TEST(FieldTable, RmbsimHelpNamesEveryFlag)
+{
+    std::FILE *pipe = ::popen(RMBSIM_BIN " --help", "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string help;
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;)
+        help.append(buf, n);
+    EXPECT_EQ(::pclose(pipe), 0);
+    for (const exp::FieldInfo &f : exp::PointConfig::knownFields()) {
+        std::string flag = "--" + f.name + " ";
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        EXPECT_EQ(help.find(flag) != std::string::npos, !f.sweepOnly)
+            << flag;
+    }
+}
+
+TEST(SweepSpec, WorkloadSuffixesAreCheckedAtLoad)
+{
+    for (const char *bad :
+         {"rot:abc", "local:0", "hotspot:7", "hrel:", "local:-2"}) {
+        exp::SweepSpec spec;
+        std::vector<std::string> errors;
+        EXPECT_FALSE(exp::SweepSpec::fromJson(
+            std::string(R"({ "axes": [ { "field": "workload",
+                             "values": ["uniform", ")") +
+                bad + "\"] } ] }",
+            spec, errors))
+            << bad;
+        const std::string all = joined(errors);
+        EXPECT_NE(all.find("workload"), std::string::npos) << all;
+        EXPECT_NE(all.find(std::string(bad).substr(0, 4)),
+                  std::string::npos)
+            << all;
+    }
 }
 
 // ---------------------------------------------------------------
@@ -411,6 +604,87 @@ TEST(Sweep, BadPointIsCapturedNotFatal)
     EXPECT_NE(outcome.results[1].error.find("bus"),
               std::string::npos)
         << outcome.results[1].error;
+}
+
+TEST(Sweep, WorkloadThatDoesNotFitIsCapturedNotFatal)
+{
+    // local:9 on 8 nodes and bitrev on 12 would abort in the traffic
+    // generators, and rot:8 on 8 nodes is no traffic at all; the
+    // factory turns them into per-point errors and every other point
+    // still runs.
+    exp::SweepSpec spec;
+    std::vector<std::string> errors;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(R"({
+      "base": { "nodes": 8, "payload": 4, "rate": 0.01,
+                "duration": 2000 },
+      "mode": "zip",
+      "axes": [ { "field": "workload",
+                  "values": ["uniform", "local:9", "bitrev",
+                             "local:3", "bitrev", "rot:8"] },
+                { "field": "nodes", "values": [8, 8, 12, 8, 8, 8] } ]
+    })",
+                                         spec, errors))
+        << joined(errors);
+    const auto outcome = exp::runSweep(spec, 2);
+    ASSERT_EQ(outcome.results.size(), 6u);
+    EXPECT_EQ(outcome.failures, 3u);
+    EXPECT_TRUE(outcome.results[0].ok) << outcome.results[0].error;
+    EXPECT_NE(outcome.results[1].error.find("distance below"),
+              std::string::npos)
+        << outcome.results[1].error;
+    EXPECT_NE(outcome.results[2].error.find("2^n"), std::string::npos)
+        << outcome.results[2].error;
+    EXPECT_TRUE(outcome.results[3].ok) << outcome.results[3].error;
+    EXPECT_TRUE(outcome.results[4].ok) << outcome.results[4].error;
+    EXPECT_NE(outcome.results[5].error.find("to its source"),
+              std::string::npos)
+        << outcome.results[5].error;
+}
+
+TEST(Sweep, OptionsANetworkWouldIgnoreAreRefused)
+{
+    // Each of these once ran silently without the option; the point
+    // now fails with the message rmbsim gives for the same flags.
+    struct Case
+    {
+        const char *base;
+        const char *message;
+    };
+    for (const Case &c : std::vector<Case>{
+             {R"("network": "mesh", "engine": "kernel")",
+              "engine=kernel is only supported with network=rmb"},
+             {R"("network": "ring", "topology": "hier")",
+              "topology=hier is only supported with network=rmb"},
+             {R"("global_buses": 2)", "globalBuses=2 has no effect"},
+             {R"("fault_mtbf": 500, "fault_bridge_prob": 0.5)",
+              "faultBridgeProb=0.5 needs bridges"}}) {
+        exp::SweepSpec spec;
+        std::vector<std::string> errors;
+        ASSERT_TRUE(exp::SweepSpec::fromJson(
+            std::string(R"({ "base": { "nodes": 8, "payload": 4, )") +
+                c.base + " } }",
+            spec, errors))
+            << joined(errors);
+        const auto result = exp::runPoint(spec.points().front());
+        EXPECT_FALSE(result.ok) << c.base;
+        EXPECT_NE(result.error.find(c.message), std::string::npos)
+            << result.error;
+    }
+}
+
+TEST(Sweep, GridNetworkRunsWithDims)
+{
+    exp::SweepSpec spec;
+    std::vector<std::string> errors;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(
+        R"({ "base": { "network": "grid", "dims": "2x4",
+                       "payload": 4 } })",
+        spec, errors))
+        << joined(errors);
+    const auto result = exp::runPoint(spec.points().front());
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_NE(spec.canonicalJson().find(R"("dims":"2x4")"),
+              std::string::npos);
 }
 
 TEST(Sweep, RunPointIsDeterministic)

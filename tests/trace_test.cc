@@ -75,6 +75,18 @@ TEST(TraceDeathTest, MalformedLineIsFatal)
                 "malformed");
 }
 
+TEST(TraceDeathTest, NodeTheNetworkLacksIsFatalAndNamesTheLine)
+{
+    // replayTrace() would trip an assertion (an abort) on these; the
+    // reader refuses them with the line number instead.
+    std::stringstream far("# rmbtrace v1\n0 1 2 4\n5 3 9 4\n");
+    EXPECT_EXIT(readTrace(far, 8), ::testing::ExitedWithCode(1),
+                "trace line 3: node 9 is out of range");
+    std::stringstream self("0 2 2 4\n");
+    EXPECT_EXIT(readTrace(self, 8), ::testing::ExitedWithCode(1),
+                "trace line 1: node 2 sends to itself");
+}
+
 TEST(Trace, ReplayDeliversEverything)
 {
     sim::Simulator s;

@@ -6,6 +6,9 @@
  * prints a statistics table; can also record the generated workload
  * to a trace file or replay a previously recorded trace, so the
  * exact same communication pattern can be compared across networks.
+ * The run recipe is an exp::PointConfig: every recipe flag is a row
+ * of the sweep engine's field table, and the network and workload
+ * come from the same factory as a sweep point's (exp/eval.hh).
  *
  * Examples:
  *   rmbsim --network rmb --nodes 32 --buses 4 \
@@ -19,95 +22,45 @@
  *          --replay /tmp/u.trace
  */
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "baselines/fattree.hh"
-#include "baselines/hypercube.hh"
-#include "baselines/mesh.hh"
-#include "baselines/multibus.hh"
-#include "baselines/wormhole_ring.hh"
-#include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "exp/eval.hh"
+#include "exp/spec.hh"
 #include "obs/json.hh"
 #include "obs/prof.hh"
 #include "obs/run_report.hh"
 #include "obs/sinks.hh"
 #include "obs/timeline.hh"
-#include "rmb/dual_ring.hh"
+#include "report/report.hh"
 #include "rmb/engine.hh"
 #include "rmb/fault_plan.hh"
-#include "rmb/grid.hh"
 #include "rmb/hier/hier_network.hh"
-#include "rmb/network.hh"
-#include "report/report.hh"
-#include "rmb/torus.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
-#include "workload/permutation.hh"
 #include "workload/trace.hh"
-#include "workload/traffic.hh"
 
 namespace {
 
 using namespace rmb;
 
+/** The run recipe plus rmbsim's own driver and output options. */
 struct Options
 {
-    std::string network = "rmb";
-    /** --engine: RMB backend (event | kernel). */
-    std::string engine = "event";
-    /** --topology: flat single ring or hier multi-ring (rmb only). */
-    std::string topology = "flat";
-    std::uint32_t localRings = 4;
-    std::uint32_t globalBuses = 0;
-    sim::Tick bridgeLatency = 8;
-    std::uint32_t bridgeBuffer = 4;
-    /** --jobs: shard threads for hier runs (0 = auto).  Result
-     *  neutral: any value produces byte-identical reports. */
-    std::uint32_t jobs = 1;
-    std::uint32_t nodes = 16;
-    std::uint32_t buses = 4;
-    std::uint32_t width = 4;
-    std::uint32_t height = 4;
-    std::string dims = "4x4x4";
-    std::string workload = "randperm";
-    double rate = 0.001;
-    std::uint32_t payload = 32;
-    sim::Tick duration = 50'000;
-    std::uint64_t seed = 1;
-    std::string blocking = "nack";
-    std::string header = "lowest";
-    std::uint32_t sendPorts = 1;
-    std::uint32_t receivePorts = 1;
-    bool compaction = true;
-    /** --fault-mtbf: 0 keeps the transient-fault process off. */
-    sim::Tick faultMtbf = 0;
-    sim::Tick faultMttrMin = 500;
-    sim::Tick faultMttrMax = 2'000;
-    /** --fault-permanent-prob: chance a scheduled fault never
-     *  repairs (permanent segment loss). */
-    double faultPermanentProb = 0.0;
-    /** --fault-node-prob: chance a scheduled fault takes out every
-     *  level at its gap (whole-node failure domain). */
-    double faultNodeProb = 0.0;
-    /** --fault-bridge-prob: chance a scheduled fault lands on a hier
-     *  bridge instead of a segment (topology=hier only). */
-    double faultBridgeProb = 0.0;
+    /** Every recipe flag; pt.seed is --seed. */
+    exp::PointConfig pt;
     /** --fault-plan FILE: replayable JSON fault campaign. */
     std::string faultPlanPath;
-    sim::Tick watchdog = 0;
-    std::uint32_t maxRetries = 0;
     std::string record;
     std::string replay;
     bool csv = false;
@@ -128,6 +81,14 @@ struct Options
     bool profile = false;
 };
 
+/** The flag of recipe field @p name: local_rings -> local-rings. */
+std::string
+flagName(std::string name)
+{
+    std::replace(name.begin(), name.end(), '_', '-');
+    return "--" + name;
+}
+
 /**
  * Prints the option summary and exits: to stdout with code 0 when
  * the user asked for it (--help), to stderr with code 2 on a
@@ -136,109 +97,70 @@ struct Options
 [[noreturn]] void
 usage(int code = 2)
 {
-    (code == 0 ? std::cout : std::cerr)
-        << "usage: rmbsim [options]\n"
-           "  --network   rmb|dualring|torus|grid|ring|mesh|"
-           "hypercube|ehc|fattree|multibus|wormhole\n"
-           "  --engine    event|kernel    (rmb backend)\n"
-           "  --topology  flat|hier       (rmb only)\n"
-           "  --local-rings M            (hier: local ring count)\n"
-           "  --global-buses K           (hier: global ring levels,\n"
-           "                              0 = same as --buses)\n"
-           "  --bridge-latency T         (hier: ticks per bridge hop)\n"
-           "  --bridge-buffer B          (hier: slots per bridge)\n"
-           "  --jobs N                   (hier: shard threads,\n"
-           "                              0 = auto; result-neutral)\n"
-           "  --nodes N --buses K        (ring-like networks)\n"
-           "  --width W --height H       (torus / mesh)\n"
-           "  --dims AxBxC                (grid)\n"
-           "  --workload  randperm|bitrev|shuffle|transpose|"
-           "tornado|rot:<s>|uniform|local:<d>|hotspot:<f>\n"
-           "  --rate R --duration T      (stochastic workloads)\n"
-           "  --payload FLITS --seed S\n"
-           "  --blocking  nack|wait|wait:<timeout>\n"
-           "  --header    lowest|straight\n"
-           "  --ports S,R                (send,receive ports/PE)\n"
-           "  --no-compaction\n"
-           "  --fault-mtbf T             (transient faults, mean\n"
-           "                              ticks between faults)\n"
-           "  --fault-mttr MIN,MAX       (repair delay range)\n"
-           "  --fault-permanent-prob P   (chance a fault never\n"
-           "                              repairs)\n"
-           "  --fault-node-prob P        (chance a fault kills a\n"
-           "                              whole node's levels)\n"
-           "  --fault-bridge-prob P      (hier: chance a fault hits\n"
-           "                              a bridge)\n"
-           "  --fault-plan FILE          (replayable JSON fault\n"
-           "                              campaign, see docs/FAULTS"
-           ".md)\n"
-           "  --watchdog T               (source watchdog timeout)\n"
-           "  --max-retries N            (0 = unlimited)\n"
-           "  --record FILE | --replay FILE\n"
-           "  --csv | --json [FILE] | --heatmap\n"
-           "  --trace FILE               (JSONL protocol events)\n"
-           "  --timeline T               (report sample period,\n"
-           "                              default duration/100;\n"
-           "                              explicit T adds per-shard\n"
-           "                              series on hier runs)\n"
-           "  --profile                  (host-time self-profiler:\n"
-           "                              stdout phase table plus a\n"
-           "                              \"profile\" report section)\n"
-           "  --help | -h\n"
-           "\n"
-           "topology/engine support matrix:\n"
-           "  network=rmb        topology=flat|hier, engine=event|"
-           "kernel\n"
-           "  network=dualring/torus/grid  topology=flat, "
-           "engine=event\n"
-           "  other networks     no --topology / --engine\n";
+    std::ostream &os = code == 0 ? std::cout : std::cerr;
+    os << "usage: rmbsim [options]\n"
+          "run recipe (each flag is also a sweep-spec field, '-' read"
+          " as '_'; docs/SWEEPS.md):\n";
+    const exp::PointConfig defaults;
+    for (const exp::FieldInfo &f : exp::PointConfig::knownFields()) {
+        if (f.sweepOnly)
+            continue;
+        // Help in column 30, as below; long value lists push it to
+        // the next line.
+        const std::string head = flagName(f.name) + ' ' + f.value;
+        os << "  " << head
+           << (head.size() < 27 ? std::string(27 - head.size(), ' ')
+                                : "\n" + std::string(29, ' '))
+           << f.help << " (default " << defaults.text(f.name)
+           << ")\n";
+    }
+    os << "aliases:\n"
+          "  --ports S,R                --send-ports S --receive-ports"
+          " R\n"
+          "  --fault-mttr MIN,MAX       --fault-mttr-min MIN"
+          " --fault-mttr-max MAX\n"
+          "  --no-compaction            --compaction false\n"
+          "  --jobs N                   --shard-jobs N\n"
+          "run and output:\n"
+          "  --seed S                   (default 1)\n"
+          "  --fault-plan FILE          (replayable JSON fault\n"
+          "                              campaign, see docs/FAULTS"
+          ".md)\n"
+          "  --record FILE | --replay FILE\n"
+          "  --csv | --json [FILE] | --heatmap\n"
+          "  --trace FILE               (JSONL protocol events)\n"
+          "  --timeline T               (report sample period,\n"
+          "                              default duration/100;\n"
+          "                              explicit T adds per-shard\n"
+          "                              series on hier runs)\n"
+          "  --profile                  (host-time self-profiler:\n"
+          "                              stdout phase table plus a\n"
+          "                              \"profile\" report section)\n"
+          "  --help | -h\n"
+          "\n"
+          "topology/engine support matrix:\n"
+          "  network=rmb        topology=flat|hier, engine=event|"
+          "kernel\n"
+          "  other networks     topology=flat, engine=event\n";
     std::exit(code);
 }
 
-/**
- * Strict numeric flag values: the whole of @p text must be a plain
- * decimal number.  Anything else - empty input, junk, a sign on an
- * unsigned flag, overflow, NaN or infinity - is a usage error that
- * names @p flag and exits 2.
- */
+/** A bad flag value is a usage error that names the flag: exit 2. */
 [[noreturn]] void
-badValue(const std::string &flag, const std::string &text,
-         const std::string &want)
+badValue(const std::string &flag, const std::string &problem)
 {
-    std::cerr << "rmbsim: " << flag << " expects " << want
-              << ", got '" << text << "'\n";
+    std::cerr << "rmbsim: " << flag << ' ' << problem << "\n";
     std::exit(2);
 }
 
+/** --seed and --timeline, which are not recipe fields. */
 std::uint64_t
-parseUnsigned(const std::string &flag, const std::string &text,
-              std::uint64_t max = UINT64_MAX)
+parseUnsigned(const std::string &flag, const std::string &text)
 {
     std::uint64_t v = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec == std::errc::invalid_argument || ptr != end)
-        badValue(flag, text, "a non-negative integer");
-    if (ec == std::errc::result_out_of_range || v > max)
-        badValue(flag, text, "an integer <= " + std::to_string(max));
-    return v;
-}
-
-std::uint32_t
-parseU32(const std::string &flag, const std::string &text)
-{
-    return static_cast<std::uint32_t>(
-        parseUnsigned(flag, text, UINT32_MAX));
-}
-
-double
-parseReal(const std::string &flag, const std::string &text)
-{
-    double v = 0.0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc{} || ptr != end || !std::isfinite(v))
-        badValue(flag, text, "a finite number");
+    if (!exp::parseUint(text, v))
+        badValue(flag, "expects a non-negative integer, got '" + text +
+                           "'");
     return v;
 }
 
@@ -251,78 +173,42 @@ parse(int argc, char **argv)
             usage();
         return argv[++i];
     };
+    auto set = [&](const std::string &flag, const std::string &field,
+                   std::string_view text) {
+        const std::string problem = o.pt.setText(field, text);
+        if (!problem.empty())
+            badValue(flag, problem);
+    };
+    // The two-field aliases: "--ports S,R" and "--fault-mttr MIN,MAX".
+    auto setPair = [&](const std::string &flag, const std::string &v,
+                       const char *first, const char *second) {
+        const auto comma = v.find(',');
+        if (comma == std::string::npos)
+            usage();
+        set(flag, first, std::string_view(v).substr(0, comma));
+        set(flag, second, std::string_view(v).substr(comma + 1));
+    };
+    const auto &fields = exp::PointConfig::knownFields();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--network") {
-            o.network = need(i);
-        } else if (arg == "--engine") {
-            o.engine = need(i);
-        } else if (arg == "--topology") {
-            o.topology = need(i);
-        } else if (arg == "--local-rings") {
-            o.localRings = parseU32(arg, need(i));
-        } else if (arg == "--global-buses") {
-            o.globalBuses = parseU32(arg, need(i));
-        } else if (arg == "--bridge-latency") {
-            o.bridgeLatency = parseUnsigned(arg, need(i));
-        } else if (arg == "--bridge-buffer") {
-            o.bridgeBuffer = parseU32(arg, need(i));
-        } else if (arg == "--jobs") {
-            o.jobs = parseU32(arg, need(i));
-        } else if (arg == "--nodes") {
-            o.nodes = parseU32(arg, need(i));
-        } else if (arg == "--buses") {
-            o.buses = parseU32(arg, need(i));
-        } else if (arg == "--width") {
-            o.width = parseU32(arg, need(i));
-        } else if (arg == "--height") {
-            o.height = parseU32(arg, need(i));
-        } else if (arg == "--dims") {
-            o.dims = need(i);
-        } else if (arg == "--workload") {
-            o.workload = need(i);
-        } else if (arg == "--rate") {
-            o.rate = parseReal(arg, need(i));
-        } else if (arg == "--payload") {
-            o.payload = parseU32(arg, need(i));
-        } else if (arg == "--duration") {
-            o.duration = parseUnsigned(arg, need(i));
-        } else if (arg == "--seed") {
-            o.seed = parseUnsigned(arg, need(i));
-        } else if (arg == "--blocking") {
-            o.blocking = need(i);
-        } else if (arg == "--header") {
-            o.header = need(i);
+        const auto field = std::find_if(
+            fields.begin(), fields.end(), [&](const exp::FieldInfo &f) {
+                return !f.sweepOnly && arg == flagName(f.name);
+            });
+        if (field != fields.end()) {
+            set(arg, field->name, need(i));
         } else if (arg == "--ports") {
-            const std::string v = need(i);
-            const auto comma = v.find(',');
-            if (comma == std::string::npos)
-                usage();
-            o.sendPorts = parseU32(arg, v.substr(0, comma));
-            o.receivePorts = parseU32(arg, v.substr(comma + 1));
-        } else if (arg == "--no-compaction") {
-            o.compaction = false;
-        } else if (arg == "--fault-mtbf") {
-            o.faultMtbf = parseUnsigned(arg, need(i));
+            setPair(arg, need(i), "send_ports", "receive_ports");
         } else if (arg == "--fault-mttr") {
-            const std::string v = need(i);
-            const auto comma = v.find(',');
-            if (comma == std::string::npos)
-                usage();
-            o.faultMttrMin = parseUnsigned(arg, v.substr(0, comma));
-            o.faultMttrMax = parseUnsigned(arg, v.substr(comma + 1));
-        } else if (arg == "--fault-permanent-prob") {
-            o.faultPermanentProb = parseReal(arg, need(i));
-        } else if (arg == "--fault-node-prob") {
-            o.faultNodeProb = parseReal(arg, need(i));
-        } else if (arg == "--fault-bridge-prob") {
-            o.faultBridgeProb = parseReal(arg, need(i));
+            setPair(arg, need(i), "fault_mttr_min", "fault_mttr_max");
+        } else if (arg == "--no-compaction") {
+            set(arg, "compaction", "false");
+        } else if (arg == "--jobs") {
+            set(arg, "shard_jobs", need(i));
+        } else if (arg == "--seed") {
+            o.pt.seed = parseUnsigned(arg, need(i));
         } else if (arg == "--fault-plan") {
             o.faultPlanPath = need(i);
-        } else if (arg == "--watchdog") {
-            o.watchdog = parseUnsigned(arg, need(i));
-        } else if (arg == "--max-retries") {
-            o.maxRetries = parseU32(arg, need(i));
         } else if (arg == "--record") {
             o.record = need(i);
         } else if (arg == "--replay") {
@@ -353,212 +239,24 @@ parse(int argc, char **argv)
     return o;
 }
 
-core::RmbConfig
-rmbConfig(const Options &o)
-{
-    core::RmbConfig cfg;
-    if (o.engine == "kernel")
-        cfg.engine = core::EngineKind::Kernel;
-    else if (o.engine != "event")
-        fatal("unknown engine '", o.engine, "' (event | kernel)");
-    if (o.topology == "hier") {
-        cfg.topology = core::TopologyKind::Hier;
-        cfg.localRings = o.localRings;
-        cfg.globalBuses = o.globalBuses;
-        cfg.bridgeLatency = o.bridgeLatency;
-        cfg.bridgeBuffer = o.bridgeBuffer;
-        cfg.shardJobs = o.jobs;
-    } else if (o.topology != "flat") {
-        fatal("unknown topology '", o.topology,
-              "' (flat | hier)");
-    }
-    cfg.numNodes = o.nodes;
-    cfg.numBuses = o.buses;
-    cfg.seed = o.seed;
-    cfg.enableCompaction = o.compaction;
-    if (o.faultMtbf > 0) {
-        cfg.transientFaults = true;
-        cfg.faultMtbf = o.faultMtbf;
-        cfg.faultMttrMin = o.faultMttrMin;
-        cfg.faultMttrMax = o.faultMttrMax;
-        cfg.faultPermanentProb = o.faultPermanentProb;
-        cfg.faultNodeProb = o.faultNodeProb;
-        cfg.faultBridgeProb = o.faultBridgeProb;
-    }
-    // A scripted fault plan hits occupied segments too, so it needs
-    // the same recovery machinery as the stochastic schedule.
-    if (!o.faultPlanPath.empty())
-        cfg.transientFaults = true;
-    cfg.watchdogTimeout = o.watchdog;
-    cfg.maxRetries = o.maxRetries;
-    cfg.sendPorts = o.sendPorts;
-    cfg.receivePorts = o.receivePorts;
-    cfg.headerPolicy = o.header == "straight"
-                           ? core::HeaderPolicy::PreferStraight
-                           : core::HeaderPolicy::PreferLowest;
-    if (o.blocking == "wait") {
-        cfg.blocking = core::BlockingPolicy::Wait;
-    } else if (o.blocking.rfind("wait:", 0) == 0) {
-        cfg.blocking = core::BlockingPolicy::Wait;
-        cfg.headerTimeout =
-            parseUnsigned("--blocking", o.blocking.substr(5));
-    } else if (o.blocking == "nack") {
-        cfg.blocking = core::BlockingPolicy::NackRetry;
-    } else {
-        fatal("unknown blocking policy '", o.blocking, "'");
-    }
-    return cfg;
-}
-
-std::unique_ptr<net::Network>
-makeNetwork(const Options &o, sim::Simulator &simulator)
-{
-    baseline::CircuitConfig circuit;
-    circuit.seed = o.seed;
-    // Fail combinations the backends would silently ignore: the
-    // hier topology and the kernel engine exist only behind the
-    // core::Engine factory, i.e. --network rmb.
-    if (o.topology == "hier" && o.network != "rmb") {
-        fatal("--topology hier is only supported with --network "
-              "rmb; '", o.network,
-              "' has its own fixed topology (drop --topology, or "
-              "use --network rmb)");
-    }
-    if (o.engine == "kernel" && o.network != "rmb") {
-        fatal("--engine kernel is only supported with --network "
-              "rmb; '", o.network,
-              "' would silently ignore it (drop --engine, or use "
-              "--network rmb)");
-    }
-    if (o.network == "rmb") {
-        // Backend selection (--engine) happens inside makeEngine;
-        // everything downstream sees only the core::Engine contract.
-        return core::makeEngine(simulator, rmbConfig(o));
-    }
-    if (o.network == "dualring") {
-        return std::make_unique<core::DualRingRmbNetwork>(
-            simulator, rmbConfig(o));
-    }
-    if (o.network == "torus") {
-        core::RmbConfig cfg = rmbConfig(o);
-        return std::make_unique<core::RmbTorusNetwork>(
-            simulator, o.width, o.height, cfg);
-    }
-    if (o.network == "grid") {
-        std::vector<std::uint32_t> dims;
-        std::size_t pos = 0;
-        while (pos < o.dims.size()) {
-            const auto x = o.dims.find('x', pos);
-            const auto part = o.dims.substr(
-                pos, x == std::string::npos ? std::string::npos
-                                            : x - pos);
-            if (part.empty())
-                fatal("bad --dims '", o.dims, "'");
-            dims.push_back(parseU32("--dims", part));
-            pos = x == std::string::npos ? o.dims.size() : x + 1;
-        }
-        return std::make_unique<core::RmbGridNetwork>(
-            simulator, dims, rmbConfig(o));
-    }
-    if (o.network == "ring") {
-        return std::make_unique<baseline::IdealRingNetwork>(
-            simulator, o.nodes, o.buses, circuit);
-    }
-    if (o.network == "mesh") {
-        return std::make_unique<baseline::MeshNetwork>(
-            simulator, o.width, o.height, circuit);
-    }
-    if (o.network == "hypercube" || o.network == "ehc") {
-        if (!isPowerOfTwo(o.nodes))
-            fatal("hypercube needs --nodes = 2^n");
-        return std::make_unique<baseline::HypercubeNetwork>(
-            simulator, log2Floor(o.nodes), circuit,
-            o.network == "ehc");
-    }
-    if (o.network == "fattree") {
-        return std::make_unique<baseline::FatTreeNetwork>(
-            simulator, o.nodes, o.buses, circuit);
-    }
-    if (o.network == "multibus") {
-        return std::make_unique<baseline::MultiBusNetwork>(
-            simulator, o.nodes, o.buses, circuit);
-    }
-    if (o.network == "wormhole") {
-        baseline::WormholeConfig cfg;
-        cfg.vcsPerClass = o.buses / 2 ? o.buses / 2 : 1;
-        return std::make_unique<baseline::WormholeRingNetwork>(
-            simulator, o.nodes, cfg);
-    }
-    fatal("unknown network '", o.network, "'");
-}
-
-/** Batch (permutation) workloads return a pair list; stochastic
- *  ones return empty and use rate/duration. */
-workload::PairList
-batchWorkload(const Options &o, net::NodeId n, sim::Random &rng)
-{
-    const std::string &w = o.workload;
-    if (w == "randperm")
-        return workload::toPairs(
-            workload::randomFullTraffic(n, rng));
-    if (w == "bitrev")
-        return workload::toPairs(workload::bitReversal(n));
-    if (w == "shuffle")
-        return workload::toPairs(workload::perfectShuffle(n));
-    if (w == "transpose")
-        return workload::toPairs(workload::transpose(n));
-    if (w == "tornado")
-        return workload::toPairs(workload::rotation(n, n / 2));
-    if (w.rfind("rot:", 0) == 0) {
-        return workload::toPairs(workload::rotation(
-            n, static_cast<net::NodeId>(
-                   parseUnsigned("--workload", w.substr(4)) % n)));
-    }
-    return {};
-}
-
-std::unique_ptr<workload::TrafficPattern>
-stochasticWorkload(const Options &o, net::NodeId n)
-{
-    const std::string &w = o.workload;
-    if (w == "uniform")
-        return std::make_unique<workload::UniformTraffic>(n);
-    if (w.rfind("local:", 0) == 0) {
-        return std::make_unique<workload::LocalRingTraffic>(
-            n, parseU32("--workload", w.substr(6)));
-    }
-    if (w.rfind("hotspot:", 0) == 0) {
-        return std::make_unique<workload::HotSpotTraffic>(
-            n, 0, parseReal("--workload", w.substr(8)));
-    }
-    return nullptr;
-}
-
 /**
- * FNV-1a digest of every result-affecting option, hex-encoded.
- *
- * Deliberately excludes `jobs`: shard parallelism is result-neutral
- * (reports are byte-compared across --jobs values), so two runs that
- * differ only in thread count must share a digest.  Output paths
- * (--json/--trace/--record) are excluded for the same reason.
+ * FNV-1a digest of every result-affecting input, hex-encoded: the
+ * recipe's canonical echo, the seed, the fault plan and the replayed
+ * trace.  The echo leaves out shard_jobs: shard parallelism is
+ * result-neutral (reports are byte-compared across --jobs values),
+ * so two runs that differ only in thread count share a digest.
+ * Output paths (--json/--trace/--record) are excluded likewise.
  */
 std::string
 configDigest(const Options &o)
 {
-    std::ostringstream joined;
-    joined << o.network << '|' << o.engine << '|' << o.topology
-           << '|' << o.localRings << '|' << o.globalBuses << '|'
-           << o.bridgeLatency << '|' << o.bridgeBuffer << '|'
-           << o.nodes << '|' << o.buses << '|' << o.width << '|'
-           << o.height << '|' << o.dims << '|' << o.workload << '|'
-           << o.rate << '|' << o.payload << '|' << o.duration << '|'
-           << o.seed << '|' << o.blocking << '|' << o.header << '|'
-           << o.sendPorts << ',' << o.receivePorts << '|'
-           << o.compaction << '|' << o.faultMtbf << '|'
-           << o.faultMttrMin << ',' << o.faultMttrMax << '|'
-           << o.faultPermanentProb << '|' << o.faultNodeProb << '|'
-           << o.faultBridgeProb << '|' << o.faultPlanPath << '|'
-           << o.watchdog << '|' << o.maxRetries << '|' << o.replay;
+    obs::JsonWriter joined;
+    joined.beginObject();
+    o.pt.echo(joined);
+    joined.field("seed", o.pt.seed);
+    joined.field("fault_plan", o.faultPlanPath);
+    joined.field("replay", o.replay);
+    joined.endObject();
     std::uint64_t h = 1469598103934665603ull;
     for (const char c : joined.str())
         h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
@@ -573,15 +271,15 @@ provenanceJson(const Options &o)
 {
     obs::JsonWriter json;
     json.beginObject();
-    json.field("seed", o.seed);
+    json.field("seed", o.pt.seed);
     json.field("config_digest", configDigest(o));
 #ifdef NDEBUG
     json.field("build_type", "release");
 #else
     json.field("build_type", "debug");
 #endif
-    json.field("engine", o.engine);
-    json.field("topology", o.topology);
+    json.field("engine", o.pt.text("engine"));
+    json.field("topology", o.pt.text("topology"));
     json.endObject();
     return json.str();
 }
@@ -609,13 +307,13 @@ writeReport(const Options &o, const net::Network &network,
             const obs::TimelineSampler *timeline)
 {
     obs::RunReport report("rmbsim");
-    report.set("network", o.network);
-    if (o.topology != "flat")
-        report.set("topology", o.topology);
-    report.set("workload", o.workload);
+    report.set("network", o.pt.network);
+    if (o.pt.text("topology") != "flat")
+        report.set("topology", o.pt.text("topology"));
+    report.set("workload", o.pt.workload);
     report.set("nodes", std::uint64_t{network.numNodes()});
-    report.set("payload", std::uint64_t{o.payload});
-    report.set("seed", o.seed);
+    report.set("payload", std::uint64_t{o.pt.payload});
+    report.set("seed", o.pt.seed);
     report.set("ticks", static_cast<std::uint64_t>(now));
     report.setRaw("provenance", provenanceJson(o));
     report.setRaw("stats", report::statsToJson(network, now));
@@ -733,13 +431,19 @@ main(int argc, char **argv)
     obs::prof::setEnabled(o.profile);
 
     sim::Simulator simulator;
-    auto network = makeNetwork(o, simulator);
+    std::string error;
+    auto network =
+        exp::makeNetwork(o.pt, simulator, o.pt.seed,
+                         core::VerifyLevel::Cheap, error,
+                         !o.faultPlanPath.empty());
+    if (!network)
+        fatal(error);
 
     if (!o.faultPlanPath.empty()) {
         auto *eng = dynamic_cast<core::Engine *>(network.get());
         if (eng == nullptr) {
             fatal("--fault-plan needs an RMB engine network "
-                  "(--network rmb); '", o.network,
+                  "(--network rmb); '", o.pt.network,
                   "' has no fault domain");
         }
         std::ifstream in(o.faultPlanPath);
@@ -790,7 +494,7 @@ main(int argc, char **argv)
             return;
         sim::Tick period = o.timeline;
         if (period == 0)
-            period = o.duration / 100 ? o.duration / 100 : 1;
+            period = o.pt.duration / 100 ? o.pt.duration / 100 : 1;
         timeline = std::make_unique<obs::TimelineSampler>(simulator,
                                                           period);
         net::Network *net = network.get();
@@ -809,9 +513,10 @@ main(int argc, char **argv)
         });
         if (const auto *rmb =
                 dynamic_cast<const core::Engine *>(net)) {
+            // Every node's gap has as many levels as gap 0.
             const double segs =
-                static_cast<double>(rmb->config().numNodes) *
-                static_cast<double>(rmb->config().numBuses);
+                static_cast<double>(rmb->numNodes()) *
+                static_cast<double>(rmb->faultDomainLevels(0));
             timeline->addSeries("live_buses", [rmb] {
                 return static_cast<double>(
                     rmb->rmbStats().liveBuses.current());
@@ -862,15 +567,16 @@ main(int argc, char **argv)
         });
         timeline->start();
     };
-    sim::Random rng(o.seed);
+    sim::Random rng(o.pt.seed);
 
     if (!o.replay.empty()) {
         std::ifstream in(o.replay);
         if (!in)
             fatal("cannot open trace '", o.replay, "'");
-        const auto trace = workload::readTrace(in);
+        const auto trace = workload::readTrace(in, network->numNodes());
         startTimeline(trace.empty() ? 0 : trace.back().time);
-        const auto r = workload::replayTrace(*network, trace);
+        const auto r =
+            workload::replayTrace(*network, trace, o.pt.timeout);
         std::cout << "replayed " << r.injected << " events: "
                   << r.delivered << " delivered, " << r.failed
                   << " failed, makespan " << r.makespan
@@ -880,11 +586,14 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const auto pairs = batchWorkload(o, network->numNodes(), rng);
+    const auto pairs =
+        exp::batchPairs(o.pt, network->numNodes(), rng, error);
+    if (!error.empty())
+        fatal(error);
     if (!pairs.empty()) {
         startTimeline(0);
-        const auto r =
-            workload::runBatch(*network, pairs, o.payload);
+        const auto r = workload::runBatch(*network, pairs,
+                                          o.pt.payload, o.pt.timeout);
         std::cout << (r.completed ? "batch completed"
                                   : "batch TIMED OUT")
                   << ": makespan " << r.makespan << "\n";
@@ -892,7 +601,7 @@ main(int argc, char **argv)
             workload::Trace trace;
             for (const auto &[src, dst] : pairs)
                 trace.push_back(
-                    workload::TraceEvent{0, src, dst, o.payload});
+                    workload::TraceEvent{0, src, dst, o.pt.payload});
             std::ofstream out(o.record);
             workload::writeTrace(out, trace);
         }
@@ -901,12 +610,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    auto pattern = stochasticWorkload(o, network->numNodes());
+    auto pattern =
+        exp::stochasticPattern(o.pt, network->numNodes(), error);
     if (!pattern)
-        fatal("unknown workload '", o.workload, "'");
+        fatal(error);
     if (!o.record.empty()) {
         const auto trace = workload::generateTrace(
-            *pattern, o.rate, o.payload, o.duration, rng);
+            *pattern, o.pt.rate, o.pt.payload, o.pt.duration, rng);
         {
             std::ofstream out(o.record);
             if (!out)
@@ -914,7 +624,8 @@ main(int argc, char **argv)
             workload::writeTrace(out, trace);
         }
         startTimeline(trace.empty() ? 0 : trace.back().time);
-        const auto r = workload::replayTrace(*network, trace);
+        const auto r =
+            workload::replayTrace(*network, trace, o.pt.timeout);
         std::cout << "recorded " << trace.size() << " events to "
                   << o.record << "; replayed locally: "
                   << r.delivered << " delivered\n";
@@ -922,10 +633,10 @@ main(int argc, char **argv)
                    timeline.get());
         return 0;
     }
-    startTimeline(o.duration);
+    startTimeline(o.pt.duration);
     const auto r = workload::runOpenLoop(
-        *network, *pattern, o.rate, o.payload, o.duration, rng,
-        o.duration / 10);
+        *network, *pattern, o.pt.rate, o.pt.payload, o.pt.duration,
+        rng, o.pt.duration / 10, o.pt.timeout);
     std::cout << "open loop: offered " << r.offeredLoad
               << " msgs/node/tick, throughput " << r.throughput
               << ", mean latency " << r.meanLatency << "\n";
