@@ -2,12 +2,13 @@
  * @file
  * Parallel execution of independent grid points.
  *
- * Runner is a dynamic-load-balancing thread pool: workers claim the
- * next unclaimed index from a shared atomic counter, so long points
- * never serialise behind short ones (the "work stealing" that
- * matters for a grid of identical tasks with wildly different run
- * times, e.g. a saturation sweep where the loaded points take 100x
- * longer than the idle ones).
+ * Runner is a load-balancing thread pool: each index has a home
+ * worker, and a worker that has run its own indices takes over any
+ * another worker has not claimed yet, so long points never
+ * serialise behind short ones (the "work stealing" that matters for
+ * a grid of identical tasks with wildly different run times, e.g. a
+ * saturation sweep where the loaded points take 100x longer than
+ * the idle ones).
  *
  * The pool knows nothing about simulations; it runs fn(i) for every
  * i in [0, count).  Determinism is the caller's contract: each index
@@ -35,12 +36,17 @@ namespace common {
 /**
  * Thread pool over an index range.
  *
- * The worker threads are created lazily on the first parallel
- * forEach and persist for the Runner's lifetime, parked on a
- * condition variable between calls.  A sweep pays thread-creation
- * cost once per run either way; a sharded hierarchical simulation
- * calls forEach once per lookahead window - tens of thousands of
- * times - and must not spawn threads each time.
+ * The calling thread is one of the `jobs` workers: forEach claims
+ * indices on it alongside jobs - 1 pool threads, so a call never
+ * sleeps its caller while others work.  The pool threads are created
+ * lazily on the first parallel forEach and persist for the Runner's
+ * lifetime.  Between calls an idle worker spins for a short bounded
+ * time, then parks on a condition variable; a new call wakes only
+ * parked workers.  A sweep pays thread-creation cost once per run
+ * either way; a sharded hierarchical simulation calls forEach once
+ * per lookahead window - thousands of times, back to back - and
+ * must neither spawn threads nor pay a park/wake round trip each
+ * time.
  */
 class Runner
 {
@@ -60,19 +66,37 @@ class Runner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run fn(i) for every i in [0, count), spread over min(jobs,
-     * count) workers; with one job (or one index) everything runs
-     * inline on the calling thread.  Returns when all indices
-     * completed.  If fn throws, the first exception is rethrown here
-     * after the pool drains (callers that need per-point failure
-     * capture wrap fn - runSweep() records failures in the point
-     * result instead).  Not reentrant: one forEach at a time per
-     * Runner.
+     * Run fn(i) exactly once for every i in [0, count), spread
+     * over up to jobs workers, the calling thread among them; with
+     * one job (or one index) everything runs inline on the calling
+     * thread.  Index i's home worker is i % jobs (worker 0 is the
+     * calling thread).  Returns when all indices completed.  If fn
+     * throws - on any thread - the other indices still run, and the
+     * first exception is rethrown here after the pool drains
+     * (callers that need per-point failure capture wrap fn -
+     * runSweep() records failures in the point result instead).
+     * Not reentrant: one forEach at a time per Runner.
      */
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &fn) const;
 
+    /**
+     * forEach with index i's home worker home(i) % jobs.  A caller
+     * that calls forEach back to back over the same items, whatever
+     * their positions in each call, keeps each item's state in one
+     * core's cache.  Which thread runs an index never changes what
+     * it computes.
+     */
+    void forEach(std::size_t count,
+                 const std::function<void(std::size_t)> &fn,
+                 const std::function<unsigned(std::size_t)> &home)
+        const;
+
   private:
+    void run(std::size_t count,
+             const std::function<void(std::size_t)> &fn,
+             const std::function<unsigned(std::size_t)> *home) const;
+
     struct Pool;
 
     unsigned jobs_;

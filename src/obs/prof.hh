@@ -33,8 +33,9 @@
  * Thread-safety contract: scopes are wait-free and per-thread;
  * reset()/merged()/reportJson() must only run while no other thread
  * is inside a ProfScope.  common::Runner satisfies this because forEach
- * returns only after all workers have synchronised through the pool
- * mutex (happens-before), with workers parked outside any scope.
+ * returns only after every worker has left the job through the pool's
+ * busy counter (happens-before), with idle workers spinning or parked
+ * outside any scope.
  */
 
 #pragma once

@@ -88,6 +88,7 @@ HierNetwork::HierNetwork(sim::Simulator &simulator,
                 shards_[s]->outbox.push_back(
                     {shards_[s]->sim.now(), pm.id, true});
             });
+        next_.push_back(shard->sim.eventQueue().nextTick());
         shards_.push_back(std::move(shard));
     }
 
@@ -124,6 +125,7 @@ const core::Engine &
 HierNetwork::ringEngine(std::uint32_t ring) const
 {
     rmb_assert(ring < shards_.size(), "ring index out of range");
+    syncClock(ring);
     return *shards_[ring]->engine;
 }
 
@@ -176,19 +178,28 @@ HierNetwork::send(net::NodeId src, net::NodeId dst,
     return m.id;
 }
 
+template <typename Fn>
+void
+HierNetwork::scheduleOnShard(std::uint32_t s, sim::Tick at, Fn &&fn)
+{
+    syncClock(s);
+    Shard &sh = *shards_[s];
+    // The conservative window guarantees at >= the shard clock in
+    // the steady state; the clamp covers offer-driven legs whose
+    // admission time predates the current window (docs/HIERARCHY.md).
+    const sim::Tick when = std::max(at, sh.sim.now());
+    sh.sim.scheduleAt(when, std::forward<Fn>(fn));
+    next_[s] = std::min(next_[s], when);
+}
+
 void
 HierNetwork::launchLeg(std::uint32_t shard, net::NodeId src,
                        net::NodeId dst,
                        std::uint32_t payload_flits, sim::Tick at,
                        Pending pending)
 {
-    Shard &sh = *shards_[shard];
-    // The conservative window guarantees at >= the shard clock in
-    // the steady state; the clamp covers offer-driven legs whose
-    // admission time predates the current window (docs/HIERARCHY.md).
-    const sim::Tick when = std::max(at, sh.sim.now());
-    sh.sim.scheduleAt(
-        when, [this, shard, src, dst, payload_flits, pending] {
+    scheduleOnShard(
+        shard, at, [this, shard, src, dst, payload_flits, pending] {
             Shard &s = *shards_[shard];
             const net::MessageId leg =
                 s.engine->send(src, dst, payload_flits);
@@ -386,12 +397,36 @@ HierNetwork::ensureArmed()
                            [this] { coordinate(); });
 }
 
+void
+HierNetwork::syncClock(std::uint32_t s) const
+{
+    // A window dispatches only the shards with an event due by its
+    // end; every other shard's clock stands for windowEnd_ without
+    // being moved there.  Anything that schedules on a shard or calls
+    // into its engine from the coordinator syncs first, so work is
+    // always timed from the clock the shard would have had had every
+    // window run it.
+    Shard &sh = *shards_[s];
+    if (sh.sim.now() >= windowEnd_)
+        return;
+    rmb_assert(next_[s] > windowEnd_,
+               "shard ", s, " skipped a window with events due");
+    sh.sim.runUntil(windowEnd_);
+}
+
+HierNetwork::Shard &
+HierNetwork::touchShard(std::uint32_t s)
+{
+    syncClock(s);
+    touched_.push_back(s);
+    return *shards_[s];
+}
+
 sim::Tick
 HierNetwork::windowCandidate()
 {
-    sim::Tick tmin = sim::kMaxTick;
-    for (const auto &sh : shards_)
-        tmin = std::min(tmin, sh->sim.eventQueue().nextTick());
+    const sim::Tick tmin =
+        *std::min_element(next_.begin(), next_.end());
     const sim::Tick offer_next =
         offers_.empty() ? sim::kMaxTick : offers_.top().at;
     if (tmin == sim::kMaxTick && offer_next == sim::kMaxTick)
@@ -432,15 +467,35 @@ HierNetwork::runWindow(sim::Tick until)
     // window schedule itself never depends on the job count, which
     // is what keeps results byte-identical for any --jobs.
     RMB_PROF_SCOPE("hier.window");
-    runner_.forEach(shards_.size(), [&](std::size_t s) {
-        // Runs on a Runner worker thread when --jobs > 1; the
-        // profiler accumulates per thread and merges by name, so
-        // shard time shows up whichever thread carried it.
-        RMB_PROF_SCOPE("hier.shard_step");
-        Shard &sh = *shards_[s];
-        if (until > sh.sim.now())
+    // All shard clocks stand at windowEnd_ (syncClock); a window that
+    // does not move past it runs nothing, so events at that very tick
+    // wait for the next window, behind anything the parent adds.
+    if (until <= windowEnd_)
+        return;
+    // Only shards with an event due by the horizon are dispatched;
+    // an idle shard's run would only move its clock, which
+    // windowEnd_ records for all of them at once.
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+        if (next_[s] <= until)
+            ready_.push_back(s);
+    }
+    windowEnd_ = until;
+    // A shard keeps its home worker from window to window, so its
+    // state stays in one core's cache; idle workers take over the
+    // rest of a lopsided window.
+    runner_.forEach(
+        ready_.size(),
+        [this, until](std::size_t i) {
+            // Runs on a Runner worker thread when --jobs > 1; the
+            // profiler accumulates per thread and merges by name, so
+            // shard time shows up whichever thread carried it.
+            RMB_PROF_SCOPE("hier.shard_step");
+            const std::uint32_t s = ready_[i];
+            Shard &sh = *shards_[s];
             sh.sim.runUntil(until);
-    });
+            next_[s] = sh.sim.eventQueue().nextTick();
+        },
+        [this](std::size_t i) { return ready_[i]; });
 }
 
 void
@@ -457,8 +512,17 @@ HierNetwork::drainBarrier(sim::Tick until)
         std::uint32_t shard;
         std::uint32_t idx;
     };
+    // Only the shards that ran in the window or were driven by the
+    // coordinator since the last barrier can hold records.
+    if (!touched_.empty()) {
+        ready_.insert(ready_.end(), touched_.begin(), touched_.end());
+        touched_.clear();
+        std::sort(ready_.begin(), ready_.end());
+        ready_.erase(std::unique(ready_.begin(), ready_.end()),
+                     ready_.end());
+    }
     std::vector<Ref> refs;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    for (const std::uint32_t s : ready_) {
         const auto &outbox = shards_[s]->outbox;
         for (std::uint32_t i = 0; i < outbox.size(); ++i)
             refs.push_back(Ref{outbox[i].at, s, i});
@@ -485,39 +549,57 @@ HierNetwork::drainBarrier(sim::Tick until)
             offerToBridge(o.bridge, o.pending, o.at);
         }
     }
-    for (auto &sh : shards_)
-        sh->outbox.clear();
+    for (const std::uint32_t s : ready_)
+        shards_[s]->outbox.clear();
 }
 
 void
 HierNetwork::foldShardStats()
 {
-    std::uint64_t moves = 0, flips = 0, blocked = 0, aborts = 0,
-                  timeouts = 0, dacks = 0, severed = 0,
-                  recovered = 0, lost = 0, skew = 0;
-    for (const auto &sh : shards_) {
-        const core::RmbStats &ss = sh->engine->rmbStats();
-        moves += ss.compactionMoves.value();
-        flips += ss.cycleFlips.value();
-        blocked += ss.blockedHeaders.value();
-        aborts += ss.blockedAborts.value();
-        timeouts += ss.timeoutAborts.value();
-        dacks += ss.dacks.value();
-        severed += ss.busesSevered.value();
-        recovered += ss.messagesRecovered.value();
-        lost += ss.messagesLost.value();
-        skew = std::max(skew, ss.maxCycleSkew.value());
-    }
-    rmbStats_.compactionMoves = moves;
-    rmbStats_.cycleFlips = flips;
-    rmbStats_.blockedHeaders = blocked;
-    rmbStats_.blockedAborts = aborts;
-    rmbStats_.timeoutAborts = timeouts;
-    rmbStats_.dacks = dacks;
-    rmbStats_.busesSevered = severed;
-    rmbStats_.messagesRecovered = recovered;
-    rmbStats_.messagesLost = lost;
-    rmbStats_.maxCycleSkew = skew;
+    // The parent's counters are the sums over every shard, kept as
+    // running totals: a shard that neither ran nor was driven since
+    // its last fold has nothing new to add.  The totals wrap exactly
+    // like the sums they replace.  maxCycleSkew only ever grows, so
+    // folding a shard twice is harmless.
+    FoldedCounters &t = foldTotals_;
+    const auto fold = [&](std::uint32_t s) {
+        const core::RmbStats &ss = shards_[s]->engine->rmbStats();
+        FoldedCounters &was = shards_[s]->folded;
+        const FoldedCounters now{
+            ss.compactionMoves.value(), ss.cycleFlips.value(),
+            ss.blockedHeaders.value(),  ss.blockedAborts.value(),
+            ss.timeoutAborts.value(),   ss.dacks.value(),
+            ss.busesSevered.value(),    ss.messagesRecovered.value(),
+            ss.messagesLost.value(),    ss.maxCycleSkew.value()};
+        t.moves += now.moves - was.moves;
+        t.flips += now.flips - was.flips;
+        t.blocked += now.blocked - was.blocked;
+        t.aborts += now.aborts - was.aborts;
+        t.timeouts += now.timeouts - was.timeouts;
+        t.dacks += now.dacks - was.dacks;
+        t.severed += now.severed - was.severed;
+        t.recovered += now.recovered - was.recovered;
+        t.lost += now.lost - was.lost;
+        t.skew = std::max(t.skew, now.skew);
+        was = now;
+    };
+    for (const std::uint32_t s : ready_)
+        fold(s);
+    // Driven shards not yet drained (a disarming coordinator does not
+    // drain) stay listed for the next barrier.
+    for (const std::uint32_t s : touched_)
+        fold(s);
+    ready_.clear();
+    rmbStats_.compactionMoves = t.moves;
+    rmbStats_.cycleFlips = t.flips;
+    rmbStats_.blockedHeaders = t.blocked;
+    rmbStats_.blockedAborts = t.aborts;
+    rmbStats_.timeoutAborts = t.timeouts;
+    rmbStats_.dacks = t.dacks;
+    rmbStats_.busesSevered = t.severed;
+    rmbStats_.messagesRecovered = t.recovered;
+    rmbStats_.messagesLost = t.lost;
+    rmbStats_.maxCycleSkew = t.skew;
     // faultsInjected / faultsRepaired are parent-owned (the mirror
     // increments them at injection time); per-leg samplers stay in
     // the shard registries (docs/HIERARCHY.md).
@@ -573,12 +655,10 @@ HierNetwork::failSegment(core::GapId gap, core::Level level)
         shard = globalShard();
         sub_gap = gap - config_.numNodes;
     }
-    Shard &sh = *shards_[shard];
-    core::Engine *eng = sh.engine.get();
-    sh.sim.scheduleAt(std::max(now, sh.sim.now()),
-                      [eng, sub_gap, level] {
-                          eng->failSegment(sub_gap, level);
-                      });
+    core::Engine *eng = shards_[shard]->engine.get();
+    scheduleOnShard(shard, now, [eng, sub_gap, level] {
+        eng->failSegment(sub_gap, level);
+    });
     ensureArmed();
 }
 
@@ -602,12 +682,10 @@ HierNetwork::repairSegment(core::GapId gap, core::Level level)
         shard = globalShard();
         sub_gap = gap - config_.numNodes;
     }
-    Shard &sh = *shards_[shard];
-    core::Engine *eng = sh.engine.get();
-    sh.sim.scheduleAt(std::max(now, sh.sim.now()),
-                      [eng, sub_gap, level] {
-                          eng->repairSegment(sub_gap, level);
-                      });
+    core::Engine *eng = shards_[shard]->engine.get();
+    scheduleOnShard(shard, now, [eng, sub_gap, level] {
+        eng->repairSegment(sub_gap, level);
+    });
     ensureArmed();
 }
 
@@ -836,11 +914,13 @@ HierNetwork::rescueStalled(net::MessageId id)
         // cannot exist; look again next period.
         return false;
     }
-    Shard &sh = *shards_[shard];
+    Shard &sh = touchShard(shard);
 
     // First choice: the constituent engine rescues its own leg (the
     // sever-and-retry machinery inside the shard).
-    if (sh.engine->rescueStalled(leg)) {
+    const bool rescued = sh.engine->rescueStalled(leg);
+    next_[shard] = sh.sim.eventQueue().nextTick();
+    if (rescued) {
         ++rmbStats_.watchdogFires;
         ensureArmed();
         return true;

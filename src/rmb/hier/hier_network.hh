@@ -18,10 +18,13 @@
  *    the Nack/backoff machinery and re-offers itself later.
  *
  * Execution is sharded: every constituent ring runs on its own
- * private `sim::Simulator`, advanced in conservative lookahead
- * windows of at most bridgeLatency ticks by a coordinator event on
- * the parent simulator.  Shards of one window run in parallel on an
- * `common::Runner` pool (RmbConfig::shardJobs); all cross-shard traffic
+ * private `sim::Simulator`, advanced by a coordinator event on the
+ * parent simulator in conservative lookahead windows.  A window ends
+ * at most bridgeLatency ticks past the earliest pending shard event,
+ * at the next due bridge offer, and never past the next parent
+ * event.  Only the shards with an event due in a window run, in
+ * parallel on a `common::Runner` pool (RmbConfig::shardJobs), each
+ * on the same worker from window to window; all cross-shard traffic
  * is exchanged at the single-threaded window barrier in global time
  * order, so results are byte-identical for every job count.
  */
@@ -178,6 +181,15 @@ class HierNetwork : public core::Engine
         bool failed = false;
     };
 
+    /** The shard protocol counters the parent folds into its own
+     *  RmbStats (sums, except maxCycleSkew: a max). */
+    struct FoldedCounters
+    {
+        std::uint64_t moves = 0, flips = 0, blocked = 0, aborts = 0,
+                      timeouts = 0, dacks = 0, severed = 0,
+                      recovered = 0, lost = 0, skew = 0;
+    };
+
     /** One constituent ring: private simulator, engine, outbox. */
     struct Shard
     {
@@ -192,6 +204,8 @@ class HierNetwork : public core::Engine
          *  panicking as unmapped (docs/FAULTS.md). */
         std::unordered_set<net::MessageId> orphans;
         std::vector<OutRecord> outbox;
+        /** Counter values as of this shard's last fold. */
+        FoldedCounters folded;
     };
 
     /** A deferred bridge admission offer (deflection retry or a
@@ -228,6 +242,17 @@ class HierNetwork : public core::Engine
     void runWindow(sim::Tick until);
     void drainBarrier(sim::Tick until);
     void foldShardStats();
+
+    /** Bring shard @p s's clock to the last window end before the
+     *  coordinator touches it (see runWindow). */
+    void syncClock(std::uint32_t s) const;
+    /** Shard @p s is about to be driven from the coordinator thread:
+     *  sync its clock and drain and fold it at the next barrier. */
+    Shard &touchShard(std::uint32_t s);
+    /** Schedule @p fn on shard @p s at @p at, or at the shard's clock
+     *  if that is later. */
+    template <typename Fn>
+    void scheduleOnShard(std::uint32_t s, sim::Tick at, Fn &&fn);
 
     // Barrier-side message plumbing (single-threaded, processed in
     // global time order).
@@ -283,6 +308,18 @@ class HierNetwork : public core::Engine
 
     /** M local shards, plus the global shard at index M iff M > 1. */
     std::vector<std::unique_ptr<Shard>> shards_;
+    /** Tick of each shard's earliest pending event (kMaxTick when
+     *  idle), kept beside the shards so a window scans one array. */
+    std::vector<sim::Tick> next_;
+    /** Shards to drain and fold at the next barrier: those with an
+     *  event due in the current window, plus any the coordinator
+     *  drove directly (touchShard). */
+    std::vector<std::uint32_t> ready_;
+    std::vector<std::uint32_t> touched_;
+    /** The last window end: every shard's clock, once synced. */
+    sim::Tick windowEnd_ = 0;
+    /** Sum (max for skew) of every shard's folded counters. */
+    FoldedCounters foldTotals_;
     std::vector<Bridge> bridges_;
 
     std::priority_queue<Offer, std::vector<Offer>, OfferLater>

@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -543,6 +546,79 @@ TEST(Runner, PropagatesTheFirstException)
                                             "boom");
                                 }),
                  std::runtime_error);
+}
+
+/**
+ * The sharded hierarchical executor's pattern: thousands of forEach
+ * calls back to back on one Runner, with index counts below, at and
+ * above the job count (and 0 and 1, which run inline).  Every index
+ * must run exactly once per call - with and without home workers -
+ * and no call may leak into the next.
+ */
+TEST(Runner, BackToBackCallsCoverEveryIndexOnce)
+{
+    const common::Runner runner(4);
+    const std::size_t counts[] = {0, 1, 2, 3, 4, 5, 17, 64};
+    std::vector<std::atomic<int>> hits(64);
+    for (int call = 0; call < 6000; ++call) {
+        const std::size_t count = counts[call % 8];
+        for (auto &h : hits)
+            h.store(0);
+        const auto fn = [&](std::size_t i) { hits[i]++; };
+        if (call % 2 == 0) {
+            runner.forEach(count, fn);
+        } else {
+            runner.forEach(count, fn, [](std::size_t i) {
+                return static_cast<unsigned>(i * 7);
+            });
+        }
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+                << "call " << call << ", count " << count
+                << ", index " << i;
+        }
+    }
+}
+
+/**
+ * The calling thread is one of the workers.  An exception it throws
+ * must not cut the call short: the other indices still run, and the
+ * exception surfaces only once every worker has left the job.
+ */
+TEST(Runner, CallerExceptionIsRethrownAfterThePoolDrains)
+{
+    const common::Runner runner(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> hits(32);
+        std::atomic<int> inside{0};
+        std::atomic<int> thrown{0};
+        bool caught = false;
+        try {
+            runner.forEach(hits.size(), [&](std::size_t i) {
+                inside++;
+                hits[i]++;
+                if (std::this_thread::get_id() == caller) {
+                    thrown++;
+                    inside--;
+                    throw std::runtime_error("caller");
+                }
+                // Workers are slow, so the caller claims some indices
+                // and finishes its share well before they do.
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(300));
+                inside--;
+            });
+        } catch (const std::runtime_error &e) {
+            caught = true;
+            EXPECT_STREQ(e.what(), "caller");
+            EXPECT_EQ(inside.load(), 0) << "rethrown before drain";
+        }
+        ASSERT_TRUE(caught) << "the caller ran no index";
+        EXPECT_GE(thrown.load(), 1);
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -166,6 +166,84 @@ TEST(HierNetwork, DigestIndependentOfShardJobs)
 }
 
 /**
+ * A sparse run - a few dozen messages over 32 rings, so most shards
+ * sit idle for many windows while others run - with a local and a
+ * global segment fault, a bridge outage and the delivery supervisor
+ * armed mid-run.  Faults and supervisor rescues are timed from the
+ * clock of the shard they land on, including shards that have not
+ * run for a long time, so the outcome digest and the folded protocol
+ * counters must match for every job count.
+ */
+TEST(HierNetwork, SparseFaultedRunIndependentOfShardJobs)
+{
+    const auto run = [](core::EngineKind engine, std::uint32_t jobs) {
+        core::RmbConfig cfg = hierConfig(256, 32, 29);
+        cfg.engine = engine;
+        cfg.shardJobs = jobs;
+        cfg.watchdogTimeout = 400;
+        cfg.transientFaults = true;
+        sim::Simulator sim;
+        auto net = core::makeEngine(sim, cfg);
+        std::vector<Send> sends = makeWorkload(cfg, 40, 20'000);
+        // Bursts that hold the faulted segments when the faults hit:
+        // ring 25's gap 200 on the injection (top) level, and global
+        // legs leaving bridge 7 through bridge 3's ring.
+        for (sim::Tick at = 5'900; at < 6'000; at += 10) {
+            sends.push_back(Send{at, 200, 203, 200});
+            sends.push_back(Send{at, 59, 77, 200});
+            sends.push_back(Send{at, 26, 61, 200});
+        }
+        for (const Send &s : sends) {
+            sim.schedule(s.at, [&net, s] {
+                net->send(s.src, s.dst, s.payload);
+            });
+        }
+        // Every level of ring 25's gap 0 and of the global bundle
+        // leaving bridge 7, and bridge 3 itself, for 5000 ticks.
+        sim.schedule(6'000, [&net] {
+            for (core::Level l = 0; l < 4; ++l) {
+                net->failSegment(200, l);
+                net->failSegment(256 + 7, l);
+            }
+            net->failBridge(3, false);
+        });
+        sim.schedule(11'000, [&net] {
+            for (core::Level l = 0; l < 4; ++l) {
+                net->repairSegment(200, l);
+                net->repairSegment(256 + 7, l);
+            }
+            net->repairBridge(3);
+        });
+        sim::Tick t = 20'001;
+        sim.runUntil(t);
+        while (!net->quiescent() && t < 4'000'000) {
+            t += 5000;
+            sim.runUntil(t);
+            net->auditInvariants();
+        }
+        EXPECT_TRUE(net->quiescent());
+        EXPECT_EQ(net->stats().injected, 70u);
+        EXPECT_EQ(net->rmbStats().faultsInjected.value(), 8u);
+        EXPECT_EQ(net->rmbStats().bridgeFaults.value(), 1u);
+        const core::RmbStats &rs = net->rmbStats();
+        return core::outcomeDigest(*net) + " moves=" +
+               std::to_string(rs.compactionMoves.value()) +
+               " flips=" + std::to_string(rs.cycleFlips.value()) +
+               " severed=" + std::to_string(rs.busesSevered.value()) +
+               " watchdog=" + std::to_string(rs.watchdogFires.value()) +
+               " now=" + std::to_string(sim.now());
+    };
+    for (const core::EngineKind engine :
+         {core::EngineKind::Event, core::EngineKind::Kernel}) {
+        SCOPED_TRACE(engine == core::EngineKind::Event ? "event"
+                                                       : "kernel");
+        const std::string j1 = run(engine, 1);
+        EXPECT_EQ(run(engine, 2), j1);
+        EXPECT_EQ(run(engine, 4), j1);
+    }
+}
+
+/**
  * One uncontended cross-ring message has a closed-form path: the
  * (unidirectional) local leg to the bridge, one bridge hop, the
  * global leg, a second bridge hop, and the local leg to the
