@@ -117,6 +117,63 @@ BM_EventQueueFarPresched(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueFarPresched)->Unit(benchmark::kMillisecond);
 
+/**
+ * 256 clocks with periods of 6-10 ticks and nothing else, as
+ * recurring events (Simulator::scheduleEvery): the queue's share of
+ * the event engine's INC clocks.
+ */
+void
+BM_EventQueueRecurring(benchmark::State &state)
+{
+    constexpr std::uint32_t kClocks = 256;
+    constexpr sim::Tick kHorizon = 20'000;
+    std::uint64_t events = 0;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        sim::Simulator s;
+        sim::Random rng(7);
+        for (std::uint32_t c = 0; c < kClocks; ++c) {
+            const sim::Tick period = rng.uniformRange(6, 10);
+            s.scheduleEvery(rng.uniformRange(1, period), period,
+                            [&sink] { ++sink; });
+        }
+        s.runUntil(kHorizon);
+        events += s.numExecuted();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueRecurring)->Unit(benchmark::kMillisecond);
+
+/**
+ * The event_open_local ring (256 nodes, 8 buses) with no traffic
+ * for 22k ticks: only the INC clocks run, so items/s is INC ticks
+ * per second, cycle FSM and empty make passes included.  Not gated.
+ */
+void
+BM_EventIdleRing(benchmark::State &state)
+{
+    std::uint64_t ticks = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        {
+            sim::Simulator s;
+            core::RmbConfig cfg;
+            cfg.numNodes = 256;
+            cfg.numBuses = 8;
+            cfg.verify = core::VerifyLevel::Off;
+            core::RmbNetwork net(s, cfg);
+            state.ResumeTiming();
+            s.runUntil(22'000);
+            ticks += s.numExecuted();
+            state.PauseTiming();
+        }
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ticks));
+}
+BENCHMARK(BM_EventIdleRing)->Unit(benchmark::kMillisecond);
+
 void
 BM_RandomNext(benchmark::State &state)
 {

@@ -13,7 +13,10 @@
  *
  *  - mutationHook(name): the RMB_*_MUTATE seeded-bug probes.  Each
  *    hook deliberately breaks one invariant so a WILL_FAIL CTest can
- *    prove the surrounding harness catches the breakage.  Names must
+ *    prove the surrounding harness catches the breakage.  One stress
+ *    probe rides the same path: RMB_POOL_RELOCATE changes no outcome
+ *    but moves the engines' bus pools on every allocation, so a
+ *    reference held across one reads poisoned memory.  Names must
  *    be registered in kMutationHooks below; rmblint cross-checks the
  *    literal at every call site.
  *  - envFlag(name): bench/tools conveniences (RMB_BENCH_FAST,
@@ -38,6 +41,7 @@ inline constexpr const char *kMutationHooks[] = {
     "RMB_KERNEL_MUTATE",  //!< kernel delivers multi-hop legs early
     "RMB_HIER_MUTATE",    //!< hier drops the bridge hop from paths
     "RMB_DEGRADE_MUTATE", //!< supervisor fires on healthy traffic
+    "RMB_POOL_RELOCATE",  //!< bus pools move on every allocation
 };
 
 inline constexpr std::size_t kNumMutationHooks =

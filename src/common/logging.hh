@@ -56,6 +56,18 @@ concat(Args &&...args)
     return oss.str();
 }
 
+/**
+ * rmb_assert's failure path, out of line so that a check on a hot
+ * path inlines as one compare and a cold call.
+ */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *file, int line, const char *what,
+             const Args &...args)
+{
+    panicImpl(file, line, concat(what, args...));
+}
+
 } // namespace detail
 
 } // namespace rmb
@@ -88,8 +100,9 @@ concat(Args &&...args)
  */
 #define rmb_assert(cond, ...) \
     do { \
-        if (!(cond)) { \
-            panic("assertion '" #cond "' failed. ", \
-                  ::rmb::detail::concat(__VA_ARGS__)); \
+        if (!(cond)) [[unlikely]] { \
+            ::rmb::detail::assertFailed( \
+                __FILE__, __LINE__, "assertion '" #cond "' failed. " \
+                __VA_OPT__(, ) __VA_ARGS__); \
         } \
     } while (0)

@@ -227,9 +227,18 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
                     " nodes sends every message to its source";
         return workload::toPairs(workload::rotation(n, shift));
     }
-    if (w.rfind("hrel:", 0) == 0)
-        return workload::randomHRelation(
-            n, suffix<std::uint32_t>(w, 5), rng);
+    if (w.rfind("hrel:", 0) == 0) {
+        const auto h = suffix<std::uint32_t>(w, 5);
+        const std::uint64_t messages = std::uint64_t{n} * h;
+        if (messages > kMaxBatchMessages) {
+            error = "workload '" + w + "' on " + std::to_string(n) +
+                    " nodes makes " + std::to_string(messages) +
+                    " messages; a batch holds at most " +
+                    std::to_string(kMaxBatchMessages);
+            return {};
+        }
+        return workload::randomHRelation(n, h, rng);
+    }
     return {};
 }
 

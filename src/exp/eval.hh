@@ -50,9 +50,17 @@ makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
             std::string &error, bool fault_plan = false);
 
 /**
+ * Most messages one batch may hold: `hrel:<h>` on N nodes makes N*h,
+ * and an N*h above this is refused rather than allocated (the pairs
+ * alone would need 8 bytes each, every message a network record).
+ */
+constexpr std::uint64_t kMaxBatchMessages = std::uint64_t{1} << 22;
+
+/**
  * The source-destination pairs of a batch workload on @p n nodes;
  * empty for stochastic workloads, or with @p error set when the
- * workload does not fit @p n (bitrev on 12 nodes, ...).
+ * workload does not fit @p n (bitrev on 12 nodes, an hrel batch
+ * above kMaxBatchMessages, ...).
  */
 workload::PairList batchPairs(const PointConfig &pt, net::NodeId n,
                               sim::Random &rng, std::string &error);

@@ -82,6 +82,7 @@ registeredHooks()
         "RMB_KERNEL_MUTATE",
         "RMB_HIER_MUTATE",
         "RMB_DEGRADE_MUTATE",
+        "RMB_POOL_RELOCATE",
     };
     return hooks;
 }

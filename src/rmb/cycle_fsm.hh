@@ -104,10 +104,53 @@ struct CycleStep
  * simulator, and the model checker (src/check/) drives it directly
  * to enumerate every reachable state of a ring of these FSMs.
  */
-CycleStep stepCycle(CyclePhase phase, bool id, bool ld, bool lc,
-                    bool rd, bool rc,
-                    CycleRuleVariant variant =
-                        CycleRuleVariant::Figure10);
+inline CycleStep
+stepCycle(CyclePhase phase, bool id, bool ld, bool lc, bool rd,
+          bool rc,
+          CycleRuleVariant variant = CycleRuleVariant::Figure10)
+{
+    CycleStep r{phase, false, false};
+    switch (phase) {
+      case CyclePhase::Moving:
+        // Rule 2: OD := 1 if ID and both neighbour cycles are clear.
+        if (id && !lc && !rc)
+            r.phase = CyclePhase::WaitNeighborsDone;
+        return r;
+
+      case CyclePhase::WaitNeighborsDone:
+        // Rule 3 (Figure 10): OC := 1 once both neighbours report
+        // their datapath switches complete; the local cycle flips.
+        // The body-text variant fires on LC = RC = 0 instead, i.e.
+        // immediately after rule 2 - rmbcheck proves that reading
+        // deadlocks the ring.
+        if (variant == CycleRuleVariant::OcRuleBodyText
+                ? (!lc && !rc)
+                : (ld && rd)) {
+            r.phase = CyclePhase::WaitNeighborsCycle;
+            r.cycleFlipped = true;
+        }
+        return r;
+
+      case CyclePhase::WaitNeighborsCycle:
+        // Rule 4: OD := 0 once both neighbours flipped their cycles.
+        if (variant == CycleRuleVariant::NoHandshakeGates ||
+            (lc && rc)) {
+            r.phase = CyclePhase::WaitNeighborsClear;
+        }
+        return r;
+
+      case CyclePhase::WaitNeighborsClear:
+        // Rule 5: OC := 0 once both neighbours cleared OD; the next
+        // Moving phase begins.
+        if (variant == CycleRuleVariant::NoHandshakeGates ||
+            (!ld && !rd)) {
+            r.phase = CyclePhase::Moving;
+            r.enteredMoving = true;
+        }
+        return r;
+    }
+    return r;
+}
 
 /**
  * Pure state machine: the owner (the Inc) feeds it neighbour flags on
@@ -153,7 +196,17 @@ class CycleFsm
      *         should plan and execute this cycle's datapath moves,
      *         then call setMovesDone()).
      */
-    bool step(bool ld, bool lc, bool rd, bool rc);
+    bool
+    step(bool ld, bool lc, bool rd, bool rc)
+    {
+        const CycleStep r = stepCycle(phase_, id_, ld, lc, rd, rc);
+        phase_ = r.phase;
+        if (r.cycleFlipped)
+            ++cycleCount_;
+        if (r.enteredMoving)
+            id_ = false;
+        return r.enteredMoving;
+    }
 
   private:
     CyclePhase phase_ = CyclePhase::Moving;

@@ -19,6 +19,23 @@ Inc::start(RmbNetwork &network)
         // The construction-time state is the first Moving phase.
         startMovingPhase(network);
         tick(network);
+        runClock(network);
+    });
+}
+
+void
+Inc::runClock(RmbNetwork &network)
+{
+    // Either way the next tick is the last event this callback
+    // schedules, at now + period: the same FIFO slot every time.
+    if (period_ <= sim::EventQueue::kMaxPeriod) {
+        network.simulator().scheduleEvery(
+            period_, period_, [this, &network] { tick(network); });
+        return;
+    }
+    network.simulator().schedule(period_, [this, &network] {
+        tick(network);
+        runClock(network);
     });
 }
 
@@ -35,8 +52,6 @@ Inc::tick(RmbNetwork &network)
         network.noteCycleFlip(index_);
     if (entered_moving)
         startMovingPhase(network);
-    network.simulator().schedule(period_,
-                                 [this, &network] { tick(network); });
 }
 
 void
@@ -47,19 +62,20 @@ Inc::startMovingPhase(RmbNetwork &network)
         return;
     }
     const int parity = fsm_.consideredParity(index_);
-    auto records = network.makeEligibleMoves(index_, parity);
-    if (records.empty()) {
+    rmb_assert(moves_.empty(), "INC ", index_,
+               " entered Moving before its last break step");
+    network.makeEligibleMoves(index_, parity, moves_);
+    if (moves_.empty()) {
         fsm_.setMovesDone();
         return;
     }
     // Break the old connections half a local period after making the
     // new ones (make-before-break, Figure 4).
-    network.simulator().schedule(
-        period_ / 2,
-        [this, &network, records = std::move(records)] {
-            network.breakMoves(records);
-            fsm_.setMovesDone();
-        });
+    network.simulator().schedule(period_ / 2, [this, &network] {
+        network.breakMoves(moves_);
+        moves_.clear();
+        fsm_.setMovesDone();
+    });
 }
 
 } // namespace core

@@ -15,12 +15,23 @@
 
 #include "rmb/cycle_fsm.hh"
 #include "rmb/types.hh"
+#include "rmb/virtual_bus.hh"
 #include "sim/types.hh"
 
 namespace rmb {
 namespace core {
 
 class RmbNetwork;
+
+/** A compaction make step, handed to the break step half a local
+ *  period later. */
+struct MoveRecord
+{
+    BusHandle bus;
+    GapId gap;
+    Level fromLevel;
+    Level toLevel;
+};
 
 /** One INC: compaction engine + cycle controller. */
 class Inc
@@ -43,16 +54,25 @@ class Inc
     std::uint64_t cycleCount() const { return fsm_.cycleCount(); }
 
     /**
-     * One local clock tick: poll neighbour flags, advance the cycle
-     * FSM, and begin the Moving phase's datapath switches when it
-     * starts.  Reschedules itself.
+     * Schedule the first tick (called once by RmbNetwork, which
+     * must not move the Inc afterwards: the clock events point at
+     * it).
      */
-    void tick(RmbNetwork &network);
-
-    /** Schedule the first tick (called once by RmbNetwork). */
     void start(RmbNetwork &network);
 
   private:
+    /**
+     * One local clock tick: poll neighbour flags, advance the cycle
+     * FSM, and begin the Moving phase's datapath switches when it
+     * starts.
+     */
+    void tick(RmbNetwork &network);
+
+    /** Schedule every tick after the first: one recurring event, or
+     *  a self-rescheduling one for a period beyond
+     *  EventQueue::kMaxPeriod. */
+    void runClock(RmbNetwork &network);
+
     /**
      * Entering a Moving phase: execute the make step of every
      * eligible downward move at this INC's output gap, schedule the
@@ -64,6 +84,10 @@ class Inc
     sim::Tick period_;
     CycleFsm fsm_;
     bool started_ = false;
+    /** The make records awaiting this INC's break step; kept across
+     *  cycles for its capacity.  A Moving phase ends only after its
+     *  break step, so one buffer per INC suffices. */
+    std::vector<MoveRecord> moves_;
 };
 
 } // namespace core

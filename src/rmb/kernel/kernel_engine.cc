@@ -280,27 +280,13 @@ CycleKernelEngine::dispatch(const Action &a)
 std::uint32_t
 CycleKernelEngine::allocSlot()
 {
-    if (!freeSlots_.empty()) {
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        return slot;
-    }
-    rmb_assert(pool_.size() <
-                   std::uint64_t{config_.numNodes} * config_.numBuses,
+    rmb_assert(pool_.hasFree() ||
+                   pool_.size() <
+                       std::uint64_t{config_.numNodes} *
+                           config_.numBuses,
                "kernel bus pool would grow past N*k buses: a live bus"
                " holds no segment");
-    pool_.emplace_back();
-    return static_cast<std::uint32_t>(pool_.size() - 1);
-}
-
-void
-CycleKernelEngine::retireSlot(std::uint32_t slot)
-{
-    KBus &bus = pool_[slot];
-    bus.live = false;
-    ++bus.gen;
-    bus.hops.clear(); // keeps capacity for the next life
-    freeSlots_.push_back(slot);
+    return pool_.alloc();
 }
 
 net::NodeId
@@ -309,17 +295,15 @@ CycleKernelEngine::effectiveDst(const KBus &bus) const
     if (mutation_ != TestMutation::ShortCircuit)
         return bus.dst;
     const std::uint32_t n = config_.numNodes;
-    const std::uint32_t dist = (bus.dst + n - bus.src) % n;
-    if (dist <= 1)
+    if (ringDistance(bus.src, bus.dst, n) <= 1)
         return bus.dst; // a one-hop path cannot be shortened
-    return (bus.dst + n - 1) % n;
+    return ringPrev(bus.dst, n);
 }
 
 std::uint32_t
 CycleKernelEngine::pathLength(const KBus &bus) const
 {
-    const std::uint32_t n = config_.numNodes;
-    return (effectiveDst(bus) + n - bus.src) % n;
+    return ringDistance(bus.src, effectiveDst(bus), config_.numNodes);
 }
 
 bool
@@ -331,8 +315,7 @@ CycleKernelEngine::isFree(GapId gap, Level level) const
 std::size_t
 CycleKernelEngine::hopIndexAt(const KBus &bus, GapId gap) const
 {
-    return static_cast<std::size_t>(
-        (gap + config_.numNodes - bus.srcGap()) % config_.numNodes);
+    return ringDistance(bus.srcGap(), gap, config_.numNodes);
 }
 
 obs::TraceEvent
@@ -422,7 +405,7 @@ CycleKernelEngine::tryInject(net::NodeId node)
     bus.src = m.src;
     bus.dst = m.dst;
     bus.state = BusState::Advancing;
-    bus.headNode = (node + 1) % config_.numNodes;
+    bus.headNode = ringNext(node, config_.numNodes);
     bus.injectedAt = simulator().now();
     bus.hopsFreed = 0;
     bus.topReleased = false;
@@ -474,7 +457,7 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
     // Fault lookahead, mirroring the event engine: skip output
     // levels from which every onward level of the next gap is
     // faulted, unless only dead ends are free.
-    const GapId next_gap = (here + 1) % config_.numNodes;
+    const GapId next_gap = ringNext(here, config_.numNodes);
     const bool lookahead = planes_.faultyCount() > 0 &&
                            next_gap != effectiveDst(bus);
     const auto dead_end = [&](Level lin) {
@@ -511,7 +494,7 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
     if (chosen != kNoLevel) {
         planes_.occupy(gap, chosen, slot, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
-        bus.headNode = (here + 1) % config_.numNodes;
+        bus.headNode = next_gap;
         if (tracing())
             emitTrace(busEvent(obs::EventKind::HeaderHop, bus,
                                here, gap, chosen));
@@ -671,7 +654,7 @@ CycleKernelEngine::busFinished(std::uint32_t slot,
                "teardown must end at the source gap");
     --liveBuses_;
     rmbStats_.liveBuses.adjust(now, -1);
-    retireSlot(slot);
+    pool_.retire(slot);
 
     Pe &pe = pes_[src];
     pe.releaseSend(mid);
@@ -1126,7 +1109,7 @@ CycleKernelEngine::progressStamp(net::MessageId id) const
     const auto mix = [&h](std::uint64_t v) {
         h = (h ^ v) * 1099511628211ull;
     };
-    for (const KBus &b : pool_) {
+    for (const KBus &b : pool_.slots()) {
         if (!b.live || b.message != id)
             continue;
         mix(b.id);
@@ -1146,7 +1129,7 @@ CycleKernelEngine::rescueStalled(net::MessageId id)
         m.state == net::MessageState::Failed) {
         return false;
     }
-    for (const KBus &b : pool_) {
+    for (const KBus &b : pool_.slots()) {
         if (b.live && b.message == id) {
             // Bus-carried messages always progress on their own: the
             // timing wheel cannot lose actions and closed-form

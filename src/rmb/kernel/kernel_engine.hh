@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "obs/trace.hh"
+#include "rmb/bus_pool.hh"
 #include "rmb/config.hh"
 #include "rmb/engine.hh"
 #include "rmb/kernel/bitplane.hh"
@@ -142,6 +143,16 @@ class CycleKernelEngine : public Engine
     };
     void setTestMutation(TestMutation m) { mutation_ = m; }
 
+    /**
+     * Test probe: move the bus pool to fresh storage on every slot
+     * allocation and poison the old (BusPool::setRelocateOnAlloc).
+     */
+    void
+    setTestRelocatePool(bool on)
+    {
+        pool_.setRelocateOnAlloc(on);
+    }
+
   private:
     /** One pooled virtual bus; satisfies hopMovableRule's BusT. */
     struct KBus
@@ -235,7 +246,6 @@ class CycleKernelEngine : public Engine
 
     // --- helpers ---
     std::uint32_t allocSlot();
-    void retireSlot(std::uint32_t slot);
     net::NodeId effectiveDst(const KBus &bus) const;
     std::uint32_t pathLength(const KBus &bus) const;
     bool isFree(GapId gap, Level level) const;
@@ -253,10 +263,9 @@ class CycleKernelEngine : public Engine
     /** Bus slots.  Growth moves every KBus, so no `KBus &` may be
      *  held across a call that can inject a bus (releaseSegment,
      *  segmentFreed, tryInject, busFinished -> allocSlot).  Every
-     *  live bus holds a segment from allocSlot() until retireSlot(),
-     *  so the pool never exceeds N*k slots. */
-    std::vector<KBus> pool_;
-    std::vector<std::uint32_t> freeSlots_;
+     *  live bus holds a segment from allocSlot() until retire(), so
+     *  the pool never exceeds N*k slots. */
+    BusPool<KBus> pool_;
     VirtualBusId nextBusId_ = 1;
     std::uint64_t liveBuses_ = 0;
 

@@ -40,10 +40,10 @@ RmbNetwork::RmbNetwork(sim::Simulator &simulator,
     for (std::uint32_t i = 0; i < config_.numNodes; ++i) {
         const sim::Tick period = rng_.uniformRange(
             config_.cyclePeriodMin, config_.cyclePeriodMax);
-        incs_.push_back(std::make_unique<Inc>(i, period));
+        incs_.emplace_back(i, period);
     }
-    for (auto &inc : incs_)
-        inc->start(*this);
+    for (Inc &inc : incs_)
+        inc.start(*this);
 
     if (config_.faultMtbf > 0) {
         // The fault process draws from its own split substream so
@@ -57,47 +57,36 @@ RmbNetwork::RmbNetwork(sim::Simulator &simulator,
 
 RmbNetwork::~RmbNetwork() = default;
 
-const Inc &
-RmbNetwork::leftOf(std::uint32_t i) const
-{
-    return *incs_[(i + config_.numNodes - 1) % config_.numNodes];
-}
-
-const Inc &
-RmbNetwork::rightOf(std::uint32_t i) const
-{
-    return *incs_[(i + 1) % config_.numNodes];
-}
-
 const VirtualBus *
 RmbNetwork::bus(VirtualBusId id) const
 {
     rmb_assert(id != kNoBus && id < nextBusId_,
                "virtual bus id ", id, " was never allocated",
                " (ids run 1..", nextBusId_ - 1, ")");
-    auto it = buses_.find(id);
-    return it == buses_.end() ? nullptr : &it->second;
+    for (const VirtualBus &b : pool_.slots())
+        if (b.live && b.id == id)
+            return &b;
+    return nullptr;
 }
 
 std::vector<VirtualBusId>
 RmbNetwork::liveBusIds() const
 {
     std::vector<VirtualBusId> ids;
-    ids.reserve(buses_.size());
-    // rmblint:allow(determinism-hazard): drained into a vector and
-    // std::sort'ed below, so visit order never escapes.
-    for (const auto &[id, bus] : buses_)
-        ids.push_back(id);
+    for (const VirtualBus &b : pool_.slots())
+        if (b.live)
+            ids.push_back(b.id);
     std::sort(ids.begin(), ids.end());
     return ids;
 }
 
 VirtualBus &
-RmbNetwork::busRef(VirtualBusId id)
+RmbNetwork::busAt(BusHandle h)
 {
-    auto it = buses_.find(id);
-    rmb_assert(it != buses_.end(), "no live bus with id ", id);
-    return it->second;
+    VirtualBus *bus = find(h);
+    rmb_assert(bus, "no live bus in slot ", handleSlot(h),
+               " generation ", handleGen(h));
+    return *bus;
 }
 
 obs::TraceEvent
@@ -246,17 +235,28 @@ RmbNetwork::tryInject(net::NodeId node)
     else
         noteRetry(m);
 
-    const VirtualBusId bid = nextBusId_++;
-    VirtualBus &bus = buses_[bid];
-    bus.id = bid;
+    const std::uint32_t slot = pool_.alloc();
+    VirtualBus &bus = pool_[slot];
+    {
+        // A fresh life: reset every field but the generation and
+        // the hop capacity.
+        VirtualBus fresh;
+        fresh.hops = std::move(bus.hops);
+        fresh.gen = bus.gen;
+        bus = std::move(fresh);
+    }
+    bus.id = nextBusId_++;
+    bus.slot = slot;
+    bus.live = true;
     bus.message = mid;
     bus.src = m.src;
     bus.dst = m.dst;
     bus.state = BusState::Advancing;
     bus.injectedAt = simulator().now();
-    bus.headNode = (node + 1) % config_.numNodes;
+    bus.headNode = ringNext(node, config_.numNodes);
 
-    segments_.occupy(gap, top, bid, simulator().now());
+    const BusHandle h = bus.handle();
+    segments_.occupy(gap, top, h, simulator().now());
     bus.hops.push_back(Hop{gap, top, kNoLevel, 0});
     rmbStats_.liveBuses.adjust(simulator().now(), +1);
     if (tracing())
@@ -264,22 +264,20 @@ RmbNetwork::tryInject(net::NodeId node)
                            gap, top));
 
     simulator().schedule(config_.headerHopDelay,
-                         [this, bid] { headerArrive(bid); });
+                         [this, h] { headerArrive(h); });
     checkAfterMutation();
 }
 
 void
-RmbNetwork::headerArrive(VirtualBusId bus_id)
+RmbNetwork::headerArrive(BusHandle h)
 {
     // A fault or watchdog sever may beat an in-flight header event:
     // the bus is then gone (short teardown) or in FaultTeardown.
     // Any other state mismatch is still a protocol bug.
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *found = find(h);
+    if (!found || found->state == BusState::FaultTeardown)
         return;
-    }
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     rmb_assert(bus.state == BusState::Advancing,
                "header arrival on a non-advancing bus");
     const net::NodeId here = bus.headNode;
@@ -295,22 +293,14 @@ RmbNetwork::headerArrive(VirtualBusId bus_id)
         }
         return;
     }
-    tryAdvance(bus_id);
-}
-
-std::vector<Level>
-RmbNetwork::reachableLevels(const VirtualBus &bus) const
-{
-    return reachableOutputLevels(bus.hops.back(),
-                                 static_cast<Level>(config_.numBuses),
-                                 config_.headerPolicy);
+    tryAdvance(h);
 }
 
 void
-RmbNetwork::tryAdvance(VirtualBusId bus_id)
+RmbNetwork::tryAdvance(BusHandle h)
 {
     RMB_PROF_SCOPE_SAMPLED("event.advance");
-    VirtualBus &bus = busRef(bus_id);
+    VirtualBus &bus = busAt(h);
     rmb_assert(bus.state == BusState::Advancing ||
                    bus.state == BusState::Blocked,
                "tryAdvance on a bus in state ",
@@ -325,7 +315,7 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
     // reach the dead {0, 1}).  When every free level is a dead end,
     // fall back to the plain choice and let the blocking/abort
     // machinery handle it.
-    const GapId next_gap = (here + 1) % config_.numNodes;
+    const GapId next_gap = ringNext(here, config_.numNodes);
     const bool lookahead =
         segments_.faultyCount() > 0 && next_gap != bus.dst;
     const auto dead_end = [&](Level lin) {
@@ -339,9 +329,14 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
         return true;
     };
 
+    Level reachable[3];
+    const int count = reachableOutputLevelsInto(
+        bus.hops.back(), static_cast<Level>(config_.numBuses),
+        config_.headerPolicy, reachable);
     Level chosen = kNoLevel;
     Level fallback = kNoLevel;
-    for (Level l : reachableLevels(bus)) {
+    for (int i = 0; i < count; ++i) {
+        const Level l = reachable[i];
         if (!segments_.isFree(gap, l))
             continue;
         if (fallback == kNoLevel)
@@ -359,23 +354,21 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
             rmbStats_.blockedTime.add(static_cast<double>(
                 simulator().now() - bus.blockedSince));
             auto &q = waiters_[gap];
-            q.erase(std::remove(q.begin(), q.end(), bus_id),
-                    q.end());
+            q.erase(std::remove(q.begin(), q.end(), h), q.end());
             bus.state = BusState::Advancing;
             if (tracing())
                 emitTrace(busEvent(obs::EventKind::Unblock, bus,
                                    here, gap));
         }
-        segments_.occupy(gap, chosen, bus_id, simulator().now());
+        segments_.occupy(gap, chosen, h, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
-        bus.headNode = (here + 1) % config_.numNodes;
+        bus.headNode = next_gap;
         ++bus.epoch;
         if (tracing())
             emitTrace(busEvent(obs::EventKind::HeaderHop, bus, here,
                                gap, chosen));
-        simulator().schedule(
-            config_.headerHopDelay,
-            [this, bus_id] { headerArrive(bus_id); });
+        simulator().schedule(config_.headerHopDelay,
+                             [this, h] { headerArrive(h); });
         checkAfterMutation();
         return;
     }
@@ -400,32 +393,32 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
         if (tracing())
             emitTrace(busEvent(obs::EventKind::Block, bus, here,
                                gap));
-        waiters_[gap].push_back(bus_id);
+        waiters_[gap].push_back(h);
         if (config_.headerTimeout > 0) {
             const sim::Tick since = bus.blockedSince;
-            simulator().schedule(
-                config_.headerTimeout, [this, bus_id, since] {
-                    onHeaderTimeout(bus_id, since);
-                });
+            simulator().schedule(config_.headerTimeout,
+                                 [this, h, since] {
+                                     onHeaderTimeout(h, since);
+                                 });
         }
         checkAfterMutation();
     }
 }
 
 void
-RmbNetwork::onHeaderTimeout(VirtualBusId bus_id, sim::Tick since)
+RmbNetwork::onHeaderTimeout(BusHandle h, sim::Tick since)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end())
+    VirtualBus *found = find(h);
+    if (!found)
         return;
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     if (bus.state != BusState::Blocked || bus.blockedSince != since)
         return;
     ++rmbStats_.timeoutAborts;
     rmbStats_.blockedTime.add(
         static_cast<double>(simulator().now() - bus.blockedSince));
     auto &q = waiters_[bus.headNode];
-    q.erase(std::remove(q.begin(), q.end(), bus_id), q.end());
+    q.erase(std::remove(q.begin(), q.end(), h), q.end());
     if (tracing()) {
         obs::TraceEvent e = busEvent(obs::EventKind::Nack, bus,
                                      bus.headNode, bus.headNode);
@@ -449,20 +442,18 @@ RmbNetwork::acceptAtDestination(VirtualBus &bus)
                "accepted bus spans ", bus.hops.size(),
                " gaps, expected ",
                bus.pathLength(config_.numNodes));
-    const VirtualBusId bid = bus.id;
+    const BusHandle h = bus.handle();
     simulator().schedule(path * config_.ackHopDelay,
-                         [this, bid] { hackArriveAtSource(bid); });
+                         [this, h] { hackArriveAtSource(h); });
 }
 
 void
-RmbNetwork::hackArriveAtSource(VirtualBusId bus_id)
+RmbNetwork::hackArriveAtSource(BusHandle h)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *found = find(h);
+    if (!found || found->state == BusState::FaultTeardown)
         return; // severed while the Hack travelled back
-    }
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     rmb_assert(bus.state == BusState::AwaitHack,
                "Hack arrived on a bus in state ",
                static_cast<int>(bus.state));
@@ -474,9 +465,8 @@ RmbNetwork::hackArriveAtSource(VirtualBusId bus_id)
     if (config_.detailedFlits) {
         // Flit-by-flit with Dack window flow control; the first
         // flit leaves one flitDelay after the Hack.
-        simulator().schedule(config_.flitDelay, [this, bus_id] {
-            departFlit(bus_id, 0);
-        });
+        simulator().schedule(config_.flitDelay,
+                             [this, h] { departFlit(h, 0); });
         return;
     }
 
@@ -490,18 +480,16 @@ RmbNetwork::hackArriveAtSource(VirtualBusId bus_id)
             config_.flitDelay +
         path * config_.flitDelay;
     simulator().schedule(duration,
-                         [this, bus_id] { finalFlitArrive(bus_id); });
+                         [this, h] { finalFlitArrive(h); });
 }
 
 void
-RmbNetwork::departFlit(VirtualBusId bus_id, std::uint32_t seq)
+RmbNetwork::departFlit(BusHandle h, std::uint32_t seq)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *found = find(h);
+    if (!found || found->state == BusState::FaultTeardown)
         return; // severed; the pump died with the bus
-    }
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     rmb_assert(bus.state == BusState::Streaming,
                "flit departure on a non-streaming bus");
     rmb_assert(seq == bus.flitsSent, "flits must depart in order");
@@ -522,10 +510,9 @@ RmbNetwork::departFlit(VirtualBusId bus_id, std::uint32_t seq)
     // hops at one gap per flitDelay, undisturbed by compaction
     // (flits ride the virtual bus, not a fixed physical level).
     const auto path = static_cast<sim::Tick>(bus.hops.size());
-    simulator().schedule(path * config_.flitDelay,
-                         [this, bus_id, seq] {
-                             flitArriveAtDst(bus_id, seq);
-                         });
+    simulator().schedule(path * config_.flitDelay, [this, h, seq] {
+        flitArriveAtDst(h, seq);
+    });
 
     if (seq == m.payloadFlits)
         return; // FF sent; the pump is done.
@@ -533,24 +520,21 @@ RmbNetwork::departFlit(VirtualBusId bus_id, std::uint32_t seq)
     // Send the next flit one flitDelay later if the Dack window
     // allows; otherwise stall until a Dack reopens it.
     if (bus.flitsSent - bus.flitsAcked < config_.dackWindow) {
-        simulator().schedule(config_.flitDelay,
-                             [this, bus_id, seq] {
-                                 departFlit(bus_id, seq + 1);
-                             });
+        simulator().schedule(config_.flitDelay, [this, h, seq] {
+            departFlit(h, seq + 1);
+        });
     } else {
         bus.pumpStalled = true;
     }
 }
 
 void
-RmbNetwork::flitArriveAtDst(VirtualBusId bus_id, std::uint32_t seq)
+RmbNetwork::flitArriveAtDst(BusHandle h, std::uint32_t seq)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *found = find(h);
+    if (!found || found->state == BusState::FaultTeardown)
         return; // severed; in-flight flits are lost with the bus
-    }
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     rmb_assert(bus.state == BusState::Streaming,
                "flit arrival on a non-streaming bus");
     // The paper's contiguity guarantee: flits arrive in order and
@@ -568,24 +552,22 @@ RmbNetwork::flitArriveAtDst(VirtualBusId bus_id, std::uint32_t seq)
 
     const net::Message &m = message(bus.message);
     if (seq == m.payloadFlits) {
-        finalFlitArrive(bus_id);
+        finalFlitArrive(h);
         return;
     }
     // Dack returns along the virtual bus.
     const auto path = static_cast<sim::Tick>(bus.hops.size());
     simulator().schedule(path * config_.ackHopDelay,
-                         [this, bus_id] {
-                             dackArriveAtSource(bus_id);
-                         });
+                         [this, h] { dackArriveAtSource(h); });
 }
 
 void
-RmbNetwork::dackArriveAtSource(VirtualBusId bus_id)
+RmbNetwork::dackArriveAtSource(BusHandle h)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end())
+    VirtualBus *found = find(h);
+    if (!found)
         return; // bus already torn down (Dacks may trail the FF)
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     if (bus.state == BusState::FaultTeardown)
         return; // severed mid-stream; the trailing Dack is void
     ++bus.flitsAcked;
@@ -606,21 +588,18 @@ RmbNetwork::dackArriveAtSource(VirtualBusId bus_id)
         const sim::Tick delay =
             next_depart > now ? next_depart - now : 0;
         const std::uint32_t seq = bus.flitsSent;
-        simulator().schedule(delay, [this, bus_id, seq] {
-            departFlit(bus_id, seq);
-        });
+        simulator().schedule(delay,
+                             [this, h, seq] { departFlit(h, seq); });
     }
 }
 
 void
-RmbNetwork::finalFlitArrive(VirtualBusId bus_id)
+RmbNetwork::finalFlitArrive(BusHandle h)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *found = find(h);
+    if (!found || found->state == BusState::FaultTeardown)
         return; // severed before the final flit could land
-    }
-    VirtualBus &bus = it->second;
+    VirtualBus &bus = *found;
     rmb_assert(bus.state == BusState::Streaming,
                "FF arrived on a non-streaming bus");
     noteDelivered(messageRef(bus.message),
@@ -663,15 +642,15 @@ RmbNetwork::startTeardown(VirtualBus &bus, BusState kind)
                                                : obs::kTeardownFault;
         emitTrace(e);
     }
-    const VirtualBusId bid = bus.id;
+    const BusHandle h = bus.handle();
     simulator().schedule(config_.ackHopDelay,
-                         [this, bid] { teardownStep(bid); });
+                         [this, h] { teardownStep(h); });
 }
 
 void
-RmbNetwork::teardownStep(VirtualBusId bus_id)
+RmbNetwork::teardownStep(BusHandle h)
 {
-    VirtualBus &bus = busRef(bus_id);
+    VirtualBus &bus = busAt(h);
     rmb_assert(isTeardown(bus.state), "teardown step on a live bus");
     rmb_assert(!bus.hops.empty(), "teardown of an empty bus");
 
@@ -683,26 +662,27 @@ RmbNetwork::teardownStep(VirtualBusId bus_id)
     ++bus.epoch;
 
     if (!bus.hops.empty()) {
+        // `bus` dangles from here: a release may inject a bus.
         if (hop.inMove())
-            releaseSegment(bus, hop.gap, hop.dualLevel,
+            releaseSegment(h, hop.gap, hop.dualLevel,
                            obs::kFreeTeardown);
-        releaseSegment(bus, hop.gap, hop.level, obs::kFreeTeardown);
-        simulator().schedule(config_.ackHopDelay, [this, bus_id] {
-            teardownStep(bus_id);
-        });
+        releaseSegment(h, hop.gap, hop.level, obs::kFreeTeardown);
+        simulator().schedule(config_.ackHopDelay,
+                             [this, h] { teardownStep(h); });
         checkAfterMutation();
         return;
     }
-    busFinished(bus_id, hop);
+    busFinished(h, hop);
 }
 
 void
-RmbNetwork::busFinished(VirtualBusId bus_id, const Hop &last_hop)
+RmbNetwork::busFinished(BusHandle h, const Hop &last_hop)
 {
     // Retire the bus *before* releasing its final (source-gap)
     // segments: the release wakeups (blocked headers, pending
     // injections) must never observe a live bus with no hops.
-    VirtualBus &bus = busRef(bus_id);
+    VirtualBus &bus = busAt(h);
+    const VirtualBusId bus_id = bus.id;
     const net::NodeId src = bus.src;
     const net::MessageId mid = bus.message;
     const BusState kind = bus.state;
@@ -712,7 +692,7 @@ RmbNetwork::busFinished(VirtualBusId bus_id, const Hop &last_hop)
     rmb_assert(last_hop.gap == bus.srcGap(),
                "teardown must end at the source gap");
     rmbStats_.liveBuses.adjust(now, -1);
-    buses_.erase(bus_id);
+    pool_.retire(handleSlot(h));
 
     Pe &pe = pes_[src];
     pe.releaseSend(mid);
@@ -740,7 +720,7 @@ RmbNetwork::busFinished(VirtualBusId bus_id, const Hop &last_hop)
     // The bus record is already gone, so the SegmentFree events are
     // assembled from the captured ids rather than via busEvent().
     const auto lastFree = [&](GapId gap, Level level) {
-        segments_.release(gap, level, bus_id, now);
+        segments_.release(gap, level, h, now);
         if (tracing()) {
             obs::TraceEvent e;
             e.kind = obs::EventKind::SegmentFree;
@@ -809,10 +789,11 @@ RmbNetwork::noteSegmentFree(const VirtualBus &bus, GapId gap,
 }
 
 void
-RmbNetwork::releaseSegment(VirtualBus &bus, GapId gap, Level level,
+RmbNetwork::releaseSegment(BusHandle h, GapId gap, Level level,
                            obs::SegmentFreeReason reason)
 {
-    segments_.release(gap, level, bus.id, simulator().now());
+    VirtualBus &bus = busAt(h);
+    segments_.release(gap, level, h, simulator().now());
     noteSegmentFree(bus, gap, level, reason);
     if (!bus.topReleased && gap == bus.srcGap() &&
         level == static_cast<Level>(config_.numBuses) - 1) {
@@ -821,7 +802,8 @@ RmbNetwork::releaseSegment(VirtualBus &bus, GapId gap, Level level,
             static_cast<double>(simulator().now() - bus.injectedAt));
     }
     // A faulted segment is released (the severed owner lets go of
-    // it) but not *freed*: nobody may claim it until repair.
+    // it) but not *freed*: nobody may claim it until repair.  Last:
+    // the wakeup may grow pool_ and move `bus`.
     if (!segments_.isFaulty(gap, level))
         segmentFreed(gap, level);
 }
@@ -832,17 +814,15 @@ RmbNetwork::segmentFreed(GapId gap, Level level)
     // Wake blocked headers waiting at this gap (FIFO order).  A
     // snapshot is used because tryAdvance edits the deque.
     if (!waiters_[gap].empty()) {
-        std::vector<VirtualBusId> snapshot(waiters_[gap].begin(),
-                                           waiters_[gap].end());
-        for (VirtualBusId bid : snapshot) {
-            auto it = buses_.find(bid);
-            if (it == buses_.end())
-                continue;
-            if (it->second.state != BusState::Blocked)
+        std::vector<BusHandle> snapshot(waiters_[gap].begin(),
+                                        waiters_[gap].end());
+        for (BusHandle h : snapshot) {
+            const VirtualBus *bus = find(h);
+            if (!bus || bus->state != BusState::Blocked)
                 continue;
             if (!segments_.isFree(gap, level))
                 break; // the freed segment was taken
-            tryAdvance(bid);
+            tryAdvance(h);
         }
     }
     // A freed top segment lets the local PE inject a queued request.
@@ -866,26 +846,21 @@ RmbNetwork::hopMovable(const VirtualBus &bus,
                           });
 }
 
-std::vector<RmbNetwork::MoveRecord>
-RmbNetwork::makeEligibleMoves(GapId gap, int parity)
+void
+RmbNetwork::makeEligibleMoves(GapId gap, int parity,
+                              std::vector<MoveRecord> &out)
 {
     RMB_PROF_SCOPE_SAMPLED("event.compaction_make");
-    std::vector<MoveRecord> out;
+    const std::size_t first = out.size();
     const auto k = static_cast<Level>(config_.numBuses);
-    for (Level l = 1; l < k; ++l) {
-        if ((l % 2) != parity)
+    // Levels of the considered parity, from the lowest above 0.
+    for (Level l = parity == 0 ? 2 : 1; l < k; l += 2) {
+        const BusHandle h = segments_.occupant(gap, l);
+        if (h == kNoHandle)
             continue;
-        const VirtualBusId bid = segments_.occupant(gap, l);
-        if (bid == kNoBus)
-            continue;
-        auto it = buses_.find(bid);
-        rmb_assert(it != buses_.end(),
-                   "segment held by a dead bus");
-        VirtualBus &bus = it->second;
+        VirtualBus &bus = busAt(h);
         // Locate the hop crossing this gap.
-        const auto idx = static_cast<std::size_t>(
-            (gap + config_.numNodes - bus.srcGap()) %
-            config_.numNodes);
+        const std::size_t idx = hopIndexAt(bus, gap);
         if (idx >= bus.hops.size())
             continue; // freed region of a tearing-down bus
         Hop &hop = bus.hops[idx];
@@ -896,7 +871,7 @@ RmbNetwork::makeEligibleMoves(GapId gap, int parity)
             continue;
         // Make step: claim the lower segment; both segments carry
         // the signal until the break step.
-        segments_.occupy(gap, l - 1, bid, simulator().now());
+        segments_.occupy(gap, l - 1, h, simulator().now());
         hop.dualLevel = l - 1;
         ++hop.moveSeq;
         if (tracing()) {
@@ -906,11 +881,10 @@ RmbNetwork::makeEligibleMoves(GapId gap, int parity)
             e.b = hop.moveSeq;
             emitTrace(e);
         }
-        out.push_back(MoveRecord{bid, gap, l, l - 1});
+        out.push_back(MoveRecord{h, gap, l, l - 1});
     }
-    if (!out.empty())
+    if (out.size() != first)
         checkAfterMutation();
-    return out;
 }
 
 void
@@ -918,13 +892,11 @@ RmbNetwork::breakMoves(const std::vector<MoveRecord> &records)
 {
     RMB_PROF_SCOPE_SAMPLED("event.compaction_break");
     for (const MoveRecord &r : records) {
-        auto it = buses_.find(r.bus);
-        if (it == buses_.end())
+        VirtualBus *found = find(r.bus);
+        if (!found)
             continue; // torn down since the make step
-        VirtualBus &bus = it->second;
-        const auto idx = static_cast<std::size_t>(
-            (r.gap + config_.numNodes - bus.srcGap()) %
-            config_.numNodes);
+        VirtualBus &bus = *found;
+        const std::size_t idx = hopIndexAt(bus, r.gap);
         if (idx >= bus.hops.size())
             continue; // hop already freed by a travelling ack
         Hop &hop = bus.hops[idx];
@@ -949,15 +921,15 @@ RmbNetwork::breakMoves(const std::vector<MoveRecord> &records)
             e.a = static_cast<std::uint64_t>(r.fromLevel);
             emitTrace(e);
         }
-        releaseSegment(bus, r.gap, r.fromLevel,
+        releaseSegment(r.bus, r.gap, r.fromLevel,
                        obs::kFreeCompaction);
 
         // A blocked header whose input hop just moved down may now
-        // reach a lower (free) output level.
-        auto it2 = buses_.find(r.bus);
-        if (it2 != buses_.end() &&
-            it2->second.state == BusState::Blocked &&
-            idx + 1 == it2->second.hops.size()) {
+        // reach a lower (free) output level.  The release may have
+        // moved the pool: look the bus up again.
+        const VirtualBus *after = find(r.bus);
+        if (after && after->state == BusState::Blocked &&
+            idx + 1 == after->hops.size()) {
             tryAdvance(r.bus);
         }
     }
@@ -967,12 +939,14 @@ RmbNetwork::breakMoves(const std::vector<MoveRecord> &records)
 void
 RmbNetwork::failSegment(GapId gap, Level level)
 {
-    const VirtualBusId occupant = segments_.occupant(gap, level);
-    if (occupant != kNoBus && !config_.transientFaults) {
+    const BusHandle occupant = segments_.occupant(gap, level);
+    const VirtualBusId occupant_id =
+        occupant == kNoHandle ? kNoBus : busAt(occupant).id;
+    if (occupant != kNoHandle && !config_.transientFaults) {
         panic("failSegment(", gap, ",", level, "): can only fault a"
               " free segment while transient faults are disabled,"
               " and level ", level, " of gap ", gap,
-              " is held by virtual bus ", occupant,
+              " is held by virtual bus ", occupant_id,
               "; set RmbConfig::transientFaults to sever live"
               " buses");
     }
@@ -985,10 +959,10 @@ RmbNetwork::failSegment(GapId gap, Level level)
         e.node = gap;
         e.gap = gap;
         e.level = level;
-        e.a = occupant;
+        e.a = occupant_id;
         emitTrace(e);
     }
-    if (occupant != kNoBus)
+    if (occupant != kNoHandle)
         severOccupant(gap, level, occupant);
     checkAfterMutation();
 }
@@ -1015,15 +989,13 @@ RmbNetwork::repairSegment(GapId gap, Level level)
 }
 
 void
-RmbNetwork::severOccupant(GapId gap, Level level,
-                          VirtualBusId bus_id)
+RmbNetwork::severOccupant(GapId gap, Level level, BusHandle h)
 {
-    VirtualBus &bus = busRef(bus_id);
+    VirtualBus &bus = busAt(h);
     if (isTeardown(bus.state))
         return; // the walking Fack/Nack will release it anyway
 
-    const auto idx = static_cast<std::size_t>(
-        (gap + config_.numNodes - bus.srcGap()) % config_.numNodes);
+    const std::size_t idx = hopIndexAt(bus, gap);
     rmb_assert(idx < bus.hops.size(),
                "faulted segment held by a hop out of range");
     Hop &hop = bus.hops[idx];
@@ -1033,7 +1005,7 @@ RmbNetwork::severOccupant(GapId gap, Level level,
         // The fault hit the make-before-break *target* before the
         // break step: cancel the move and stay on the (live) old
         // level.  The pending break record goes stale via inMove().
-        segments_.release(gap, level, bus_id, simulator().now());
+        segments_.release(gap, level, h, simulator().now());
         noteSegmentFree(bus, gap, level, obs::kFreeMoveCancel);
         hop.dualLevel = kNoLevel;
         return;
@@ -1042,7 +1014,7 @@ RmbNetwork::severOccupant(GapId gap, Level level,
         // The fault hit the *old* level mid-move: make-before-break
         // means the lower segment already carries the signal, so
         // complete the move early instead of severing.
-        segments_.release(gap, level, bus_id, simulator().now());
+        segments_.release(gap, level, h, simulator().now());
         noteSegmentFree(bus, gap, level, obs::kFreeMoveCancel);
         hop.level = hop.dualLevel;
         hop.dualLevel = kNoLevel;
@@ -1066,7 +1038,8 @@ RmbNetwork::severBus(VirtualBus &bus, std::uint64_t reason)
         rmbStats_.blockedTime.add(
             static_cast<double>(now - bus.blockedSince));
         auto &q = waiters_[bus.headNode];
-        q.erase(std::remove(q.begin(), q.end(), bus.id), q.end());
+        q.erase(std::remove(q.begin(), q.end(), bus.handle()),
+                q.end());
         break;
       }
       case BusState::AwaitHack:
@@ -1113,12 +1086,10 @@ RmbNetwork::progressStamp(net::MessageId id) const
         h = (h ^ v) * 1099511628211ull;
     };
     // Fold in the carrying bus (live or tearing down): every protocol
-    // step bumps its epoch, so a frozen stamp means lost events.
-    // rmblint:allow(determinism-hazard): at most one bus carries this
-    // message, so visit order cannot change the fold.
-    for (const auto &kv : buses_) {
-        const VirtualBus &b = kv.second;
-        if (b.message != id)
+    // step bumps its epoch, so a frozen stamp means lost events.  At
+    // most one bus carries this message.
+    for (const VirtualBus &b : pool_.slots()) {
+        if (!b.live || b.message != id)
             continue;
         mix(b.id);
         mix(static_cast<std::uint64_t>(b.state));
@@ -1138,11 +1109,10 @@ RmbNetwork::rescueStalled(net::MessageId id)
     }
 
     VirtualBus *carrier = nullptr;
-    // rmblint:allow(determinism-hazard): unique-match search - at most
-    // one bus carries the message, order-insensitive.
-    for (auto &kv : buses_) {
-        if (kv.second.message == id) {
-            carrier = &kv.second;
+    // At most one bus carries the message.
+    for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
+        if (pool_[slot].live && pool_[slot].message == id) {
+            carrier = &pool_[slot];
             break;
         }
     }
@@ -1197,7 +1167,7 @@ void
 RmbNetwork::noteCycleFlip(std::uint32_t inc_index)
 {
     ++rmbStats_.cycleFlips;
-    const std::uint64_t mine = incs_[inc_index]->cycleCount();
+    const std::uint64_t mine = incs_[inc_index].cycleCount();
     if (tracing()) {
         obs::TraceEvent e;
         e.kind = obs::EventKind::CycleFlip;
@@ -1231,13 +1201,12 @@ RmbNetwork::outputStatus(net::NodeId node, Level level,
 {
     if (pe_driven)
         *pe_driven = false;
-    const VirtualBusId bid = segments_.occupant(node, level);
-    if (bid == kNoBus)
+    const BusHandle h = segments_.occupant(node, level);
+    if (h == kNoHandle)
         return 0b000;
-    const VirtualBus *b = bus(bid);
+    const VirtualBus *b = find(h);
     rmb_assert(b, "segment held by a dead bus");
-    const auto idx = static_cast<std::size_t>(
-        (node + config_.numNodes - b->srcGap()) % config_.numNodes);
+    const std::size_t idx = hopIndexAt(*b, node);
     rmb_assert(idx < b->hops.size(), "occupant hop out of range");
 
     if (idx == 0) {
@@ -1276,9 +1245,11 @@ RmbNetwork::auditInvariants() const
 
     // Every hop's claim must match the grid, and vice versa.
     std::uint64_t claimed = 0;
-    // rmblint:allow(determinism-hazard): order-insensitive audit; the
-    // loop only accumulates counts and fires asserts.
-    for (const auto &[id, bus] : buses_) {
+    for (const VirtualBus &bus : pool_.slots()) {
+        if (!bus.live)
+            continue;
+        const VirtualBusId id = bus.id;
+        const BusHandle h = bus.handle();
         rmb_assert(!bus.hops.empty(), "live bus ", id,
                    " with no hops");
         rmb_assert(bus.hops.size() + bus.hopsFreed <=
@@ -1291,7 +1262,7 @@ RmbNetwork::auditInvariants() const
                        "bus ", id, " hop ", i, " at wrong gap");
             rmb_assert(hop.level >= 0 && hop.level < k,
                        "bus ", id, " level out of range");
-            rmb_assert(segments_.occupant(hop.gap, hop.level) == id,
+            rmb_assert(segments_.occupant(hop.gap, hop.level) == h,
                        "grid does not record bus ", id, " at (",
                        hop.gap, ",", hop.level, ")");
             ++claimed;
@@ -1299,7 +1270,7 @@ RmbNetwork::auditInvariants() const
                 rmb_assert(hop.dualLevel == hop.level - 1,
                            "moves must go exactly one level down");
                 rmb_assert(segments_.occupant(hop.gap,
-                                              hop.dualLevel) == id,
+                                              hop.dualLevel) == h,
                            "dual segment not recorded");
                 ++claimed;
             }
@@ -1333,7 +1304,7 @@ RmbNetwork::auditInvariants() const
         }
         if (bus.state == BusState::Blocked) {
             const auto &q = waiters_[bus.headNode];
-            rmb_assert(std::find(q.begin(), q.end(), id) != q.end(),
+            rmb_assert(std::find(q.begin(), q.end(), h) != q.end(),
                        "blocked bus ", id, " missing from waiter"
                        " list");
         }
@@ -1358,17 +1329,17 @@ RmbNetwork::auditInvariants() const
             rmb_assert(!segments_.isFree(g, l),
                        "faulted segment (", g, ",", l,
                        ") reads as free");
-            const VirtualBusId bid = segments_.occupant(g, l);
-            if (bid == kNoBus)
+            const BusHandle h = segments_.occupant(g, l);
+            if (h == kNoHandle)
                 continue;
-            auto owner = buses_.find(bid);
-            rmb_assert(owner != buses_.end(),
-                       "faulted segment (", g, ",", l,
-                       ") held by dead bus ", bid);
-            rmb_assert(isTeardown(owner->second.state),
-                       "bus ", bid, " holds faulted segment (", g,
-                       ",", l, ") but is not tearing down (state ",
-                       static_cast<int>(owner->second.state), ")");
+            const VirtualBus *owner = find(h);
+            rmb_assert(owner, "faulted segment (", g, ",", l,
+                       ") held by a dead bus (slot ", handleSlot(h),
+                       ")");
+            rmb_assert(isTeardown(owner->state),
+                       "bus ", owner->id, " holds faulted segment (",
+                       g, ",", l, ") but is not tearing down (state ",
+                       static_cast<int>(owner->state), ")");
         }
     }
     rmb_assert(faulted_seen == segments_.faultyCount(),

@@ -21,6 +21,7 @@
 #include "common/logging.hh"
 #include "netbase/network.hh"
 #include "obs/metrics.hh"
+#include "rmb/bus_pool.hh"
 #include "rmb/config.hh"
 #include "rmb/engine.hh"
 #include "rmb/inc.hh"
@@ -146,18 +147,29 @@ class RmbNetwork : public Engine
     {
         rmb_assert(i < incs_.size(), "no INC with index ", i,
                    " (the ring has ", incs_.size(), " nodes)");
-        return *incs_[i];
+        return incs_[i];
     }
 
     /**
      * Live virtual bus by id; nullptr if the bus existed but has
      * been retired.  Panics with the offending id if no bus with
-     * that id was ever allocated (a caller bug, not a race).
+     * that id was ever allocated (a caller bug, not a race).  A scan
+     * of the bus pool: for tests and tools, not the protocol.
      */
     const VirtualBus *bus(VirtualBusId id) const;
 
     /** Ids of all live virtual buses (ascending). */
     std::vector<VirtualBusId> liveBusIds() const;
+
+    /**
+     * Test probe: move the bus pool to fresh storage on every bus
+     * allocation and poison the old (BusPool::setRelocateOnAlloc).
+     */
+    void
+    setTestRelocatePool(bool on)
+    {
+        pool_.setRelocateOnAlloc(on);
+    }
 
     /**
      * Derived Table-1 status code of INC @p node's output port at
@@ -215,21 +227,13 @@ class RmbNetwork : public Engine
     // ------------------------------------------------------------
     friend class Inc;
 
-    /** A make-step record handed back to the break step. */
-    struct MoveRecord
-    {
-        VirtualBusId bus;
-        GapId gap;
-        Level fromLevel;
-        Level toLevel;
-    };
-
     /**
      * Execute the make step of every eligible move at @p gap for bus
-     * levels of @p parity; returns the records the caller must pass
-     * to breakMoves() half a cycle later.
+     * levels of @p parity, appending to @p out the records the
+     * caller must pass to breakMoves() half a cycle later.
      */
-    std::vector<MoveRecord> makeEligibleMoves(GapId gap, int parity);
+    void makeEligibleMoves(GapId gap, int parity,
+                           std::vector<MoveRecord> &out);
 
     /** Execute the break step for records produced by make. */
     void breakMoves(const std::vector<MoveRecord> &records);
@@ -238,36 +242,46 @@ class RmbNetwork : public Engine
     void noteCycleFlip(std::uint32_t inc_index);
 
     /** Neighbour flag access for the cycle FSMs. */
-    const Inc &leftOf(std::uint32_t i) const;
-    const Inc &rightOf(std::uint32_t i) const;
+    const Inc &
+    leftOf(std::uint32_t i) const
+    {
+        return incs_[ringPrev(i, config_.numNodes)];
+    }
+    const Inc &
+    rightOf(std::uint32_t i) const
+    {
+        return incs_[ringNext(i, config_.numNodes)];
+    }
 
     /** RNG stream (backoff jitter, INC clock phase). */
     sim::Random &rng() { return rng_; }
-    // --- protocol steps (all take the bus id; the bus may die) ---
+    // --- protocol steps (all take the bus handle; the bus may die) ---
     void tryInject(net::NodeId node);
-    void headerArrive(VirtualBusId bus_id);
-    void tryAdvance(VirtualBusId bus_id);
+    void headerArrive(BusHandle h);
+    void tryAdvance(BusHandle h);
     void acceptAtDestination(VirtualBus &bus);
-    void hackArriveAtSource(VirtualBusId bus_id);
-    void finalFlitArrive(VirtualBusId bus_id);
+    void hackArriveAtSource(BusHandle h);
+    void finalFlitArrive(BusHandle h);
     // Detailed flit-level streaming (Dack flow control).
-    void departFlit(VirtualBusId bus_id, std::uint32_t seq);
-    void flitArriveAtDst(VirtualBusId bus_id, std::uint32_t seq);
-    void dackArriveAtSource(VirtualBusId bus_id);
+    void departFlit(BusHandle h, std::uint32_t seq);
+    void flitArriveAtDst(BusHandle h, std::uint32_t seq);
+    void dackArriveAtSource(BusHandle h);
     void startTeardown(VirtualBus &bus, BusState kind);
-    void teardownStep(VirtualBusId bus_id);
+    void teardownStep(BusHandle h);
     // --- transient-fault recovery (docs/FAULTS.md) ---
-    void severOccupant(GapId gap, Level level, VirtualBusId bus_id);
+    void severOccupant(GapId gap, Level level, BusHandle h);
     void severBus(VirtualBus &bus, std::uint64_t reason);
     /** Dead-letter @p m (severedAt_ lost accounting included). */
     void writeOff(net::Message &m, obs::DeadLetterReason reason);
     void finishMulticast(net::MessageId carrier);
-    void busFinished(VirtualBusId bus_id, const Hop &last_hop);
+    void busFinished(BusHandle h, const Hop &last_hop);
     void scheduleRetry(net::NodeId node, net::MessageId msg);
-    void onHeaderTimeout(VirtualBusId bus_id, sim::Tick since);
+    void onHeaderTimeout(BusHandle h, sim::Tick since);
 
-    /** Free one segment and dispatch wakeups. */
-    void releaseSegment(VirtualBus &bus, GapId gap, Level level,
+    /** Free one segment of the bus @p h and dispatch wakeups.  The
+     *  wakeup may inject a bus and grow pool_, so it takes a handle,
+     *  not a `VirtualBus &`, and callers look the bus up again. */
+    void releaseSegment(BusHandle h, GapId gap, Level level,
                         obs::SegmentFreeReason reason);
     void segmentFreed(GapId gap, Level level);
 
@@ -276,14 +290,35 @@ class RmbNetwork : public Engine
                          Level level,
                          obs::SegmentFreeReason reason);
 
-    /** Output levels reachable from the head hop of @p bus. */
-    std::vector<Level> reachableLevels(const VirtualBus &bus) const;
-
     /** Eligibility of one hop for a downward move (Figure 7). */
     bool hopMovable(const VirtualBus &bus, std::size_t hop_index)
         const;
 
-    VirtualBus &busRef(VirtualBusId id);
+    /** The live bus @p h names, or nullptr once it retired. */
+    VirtualBus *
+    find(BusHandle h)
+    {
+        const std::uint32_t slot = handleSlot(h);
+        if (slot >= pool_.size())
+            return nullptr;
+        VirtualBus &bus = pool_[slot];
+        return bus.gen == handleGen(h) && bus.live ? &bus : nullptr;
+    }
+    const VirtualBus *
+    find(BusHandle h) const
+    {
+        return const_cast<RmbNetwork *>(this)->find(h);
+    }
+
+    /** The live bus @p h names; panics if it retired. */
+    VirtualBus &busAt(BusHandle h);
+
+    /** Index of @p bus's hop at @p gap (it may be freed already). */
+    std::size_t
+    hopIndexAt(const VirtualBus &bus, GapId gap) const
+    {
+        return ringDistance(bus.srcGap(), gap, config_.numNodes);
+    }
 
     /** Assemble a trace event carrying @p bus's identity. */
     obs::TraceEvent busEvent(obs::EventKind kind,
@@ -296,13 +331,20 @@ class RmbNetwork : public Engine
     RmbConfig config_;
     sim::Random rng_;
     SegmentTable segments_;
-    std::vector<std::unique_ptr<Inc>> incs_;
+    /** Contiguous; never resized after construction (the INC
+     *  clock events point into it). */
+    std::vector<Inc> incs_;
     std::vector<Pe> pes_;
-    std::unordered_map<VirtualBusId, VirtualBus> buses_;
+    /** Every virtual bus, addressed by BusHandle; SegmentTable
+     *  occupants, waiter lists, move records and event closures all
+     *  hold handles.  No `VirtualBus &` is held across a call that
+     *  can inject a bus (releaseSegment, segmentFreed, tryInject,
+     *  busFinished): injection may grow the pool and move it. */
+    BusPool<VirtualBus> pool_;
     VirtualBusId nextBusId_ = 1;
 
     /** Blocked buses waiting for a segment per gap, FIFO. */
-    std::vector<std::deque<VirtualBusId>> waiters_;
+    std::vector<std::deque<BusHandle>> waiters_;
 
     std::vector<MulticastRecord> multicasts_;
     std::unordered_map<net::MessageId, MulticastId>

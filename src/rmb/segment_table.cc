@@ -8,28 +8,11 @@ namespace core {
 SegmentTable::SegmentTable(std::uint32_t num_gaps,
                            std::uint32_t num_levels)
     : numGaps_(num_gaps), numLevels_(num_levels),
-      grid_(static_cast<std::size_t>(num_gaps) * num_levels, kNoBus),
+      grid_(static_cast<std::size_t>(num_gaps) * num_levels, kNoHandle),
       faultMask_(grid_.size(), 0), busy_(grid_.size())
 {
     rmb_assert(num_gaps >= 2 && num_levels >= 1,
                "segment table needs >= 2 gaps and >= 1 level");
-}
-
-std::size_t
-SegmentTable::index(GapId gap, Level level) const
-{
-    rmb_assert(gap < numGaps_, "gap ", gap, " out of range");
-    rmb_assert(level >= 0 && static_cast<std::uint32_t>(level) <
-                   numLevels_,
-               "level ", level, " out of range");
-    return static_cast<std::size_t>(gap) * numLevels_ +
-           static_cast<std::size_t>(level);
-}
-
-VirtualBusId
-SegmentTable::occupant(GapId gap, Level level) const
-{
-    return grid_[index(gap, level)];
 }
 
 void
@@ -42,7 +25,7 @@ SegmentTable::markFaulty(GapId gap, Level level, sim::Tick now)
     ++faulty_;
     // A faulted segment counts as busy for utilization purposes; if
     // it is occupied it is busy already.
-    if (grid_[i] == kNoBus)
+    if (grid_[i] == kNoHandle)
         busy_[i].setBusy(now);
 }
 
@@ -56,37 +39,37 @@ SegmentTable::clearFault(GapId gap, Level level, sim::Tick now)
     --faulty_;
     // The occupant (a severed bus mid-teardown) may still hold the
     // segment; it only becomes idle once that release happens.
-    if (grid_[i] == kNoBus)
+    if (grid_[i] == kNoHandle)
         busy_[i].setFree(now);
 }
 
 void
-SegmentTable::occupy(GapId gap, Level level, VirtualBusId bus,
+SegmentTable::occupy(GapId gap, Level level, BusHandle bus,
                      sim::Tick now)
 {
-    rmb_assert(bus != kNoBus, "occupy by a sentinel bus id");
+    rmb_assert(bus != kNoHandle, "occupy by kNoHandle (kNoBus), the null bus handle");
     const std::size_t i = index(gap, level);
     auto &cell = grid_[i];
-    rmb_assert(cell == kNoBus, "segment (", gap, ",", level,
-               ") already held by bus ", cell, "; bus ", bus,
+    rmb_assert(cell == kNoHandle, "segment (", gap, ",", level,
+               ") already held by bus handle ", cell, "; bus handle ", bus,
                " tried to claim it");
     rmb_assert(!faultMask_[i], "segment (", gap, ",", level,
-               ") is faulted; bus ", bus, " tried to claim it");
+               ") is faulted; bus handle ", bus, " tried to claim it");
     cell = bus;
     ++occupied_;
     busy_[i].setBusy(now);
 }
 
 void
-SegmentTable::release(GapId gap, Level level, VirtualBusId bus,
+SegmentTable::release(GapId gap, Level level, BusHandle bus,
                       sim::Tick now)
 {
     const std::size_t i = index(gap, level);
     auto &cell = grid_[i];
     rmb_assert(cell == bus, "segment (", gap, ",", level,
-               ") held by bus ", cell, ", not by releasing bus ",
-               bus);
-    cell = kNoBus;
+               ") held by bus handle ", cell,
+               ", not by releasing bus handle ", bus);
+    cell = kNoHandle;
     --occupied_;
     if (!faultMask_[i])
         busy_[i].setFree(now);

@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "rmb/types.hh"
+#include "rmb/virtual_bus.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -30,27 +32,30 @@ class SegmentTable
     std::uint32_t numLevels() const { return numLevels_; }
 
     /**
-     * Occupant of (gap, level); kNoBus when no virtual bus holds the
-     * segment.  Faults are tracked separately (isFaulty): a faulted
+     * Handle of the virtual bus holding (gap, level); kNoHandle when
+     * none does.  Faults are tracked separately (isFaulty): a faulted
      * segment may still report its occupant while the severed bus is
      * being torn down hop by hop.
      */
-    VirtualBusId occupant(GapId gap, Level level) const;
+    BusHandle
+    occupant(GapId gap, Level level) const
+    {
+        return grid_[index(gap, level)];
+    }
 
     /** Usable and unclaimed: no occupant and not faulted. */
     bool
     isFree(GapId gap, Level level) const
     {
-        return occupant(gap, level) == kNoBus &&
+        return occupant(gap, level) == kNoHandle &&
                !isFaulty(gap, level);
     }
 
-    /** Claim a free segment for @p bus at time @p now. */
-    void occupy(GapId gap, Level level, VirtualBusId bus,
-                sim::Tick now);
+    /** Claim a free segment for bus @p bus at time @p now. */
+    void occupy(GapId gap, Level level, BusHandle bus, sim::Tick now);
 
-    /** Release a segment owned by @p bus at time @p now. */
-    void release(GapId gap, Level level, VirtualBusId bus,
+    /** Release a segment owned by bus @p bus at time @p now. */
+    void release(GapId gap, Level level, BusHandle bus,
                  sim::Tick now);
 
     /**
@@ -91,11 +96,19 @@ class SegmentTable
 
   private:
     std::size_t
-    index(GapId gap, Level level) const;
+    index(GapId gap, Level level) const
+    {
+        rmb_assert(gap < numGaps_, "gap ", gap, " out of range");
+        rmb_assert(level >= 0 &&
+                       static_cast<std::uint32_t>(level) < numLevels_,
+                   "level ", level, " out of range");
+        return static_cast<std::size_t>(gap) * numLevels_ +
+               static_cast<std::size_t>(level);
+    }
 
     std::uint32_t numGaps_;
     std::uint32_t numLevels_;
-    std::vector<VirtualBusId> grid_;
+    std::vector<BusHandle> grid_;
     /** Per-segment fault flag, orthogonal to occupancy. */
     std::vector<std::uint8_t> faultMask_;
     std::vector<sim::BusyTracker> busy_;

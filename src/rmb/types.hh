@@ -33,6 +33,28 @@ using VirtualBusId = std::uint64_t;
 /** Sentinel for "no virtual bus". */
 constexpr VirtualBusId kNoBus = 0;
 
+/** Clockwise successor of node (or gap) @p i < @p n on the ring. */
+inline std::uint32_t
+ringNext(std::uint32_t i, std::uint32_t n)
+{
+    return i + 1 == n ? 0 : i + 1;
+}
+
+/** Clockwise predecessor of node (or gap) @p i < @p n. */
+inline std::uint32_t
+ringPrev(std::uint32_t i, std::uint32_t n)
+{
+    return i == 0 ? n - 1 : i - 1;
+}
+
+/** Clockwise distance from @p from to @p to, both below @p n:
+ *  `(to + n - from) % n` without the division. */
+inline std::uint32_t
+ringDistance(std::uint32_t from, std::uint32_t to, std::uint32_t n)
+{
+    return to >= from ? to - from : to + n - from;
+}
+
 /**
  * What a blocked header flit does when no reachable output segment is
  * free at an intermediate INC.

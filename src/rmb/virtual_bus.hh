@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "netbase/message.hh"
 #include "rmb/types.hh"
@@ -64,18 +64,53 @@ isTeardown(BusState s)
 }
 
 /**
- * Bookkeeping for one live virtual bus.  The hop deque is ordered
- * from the source gap to the head gap.
+ * Address of a pooled virtual bus (rmb/bus_pool.hh): its slot plus
+ * one in the low 32 bits, the slot's generation above.  The
+ * generation changes when the bus retires, so a handle names one
+ * bus life, like its VirtualBusId, but finds it without a hash.  0
+ * (kNoHandle == kNoBus) is never a handle.
+ */
+using BusHandle = std::uint64_t;
+
+constexpr BusHandle kNoHandle = 0;
+
+inline BusHandle
+makeBusHandle(std::uint32_t slot, std::uint32_t gen)
+{
+    return (BusHandle{gen} << 32) | (BusHandle{slot} + 1);
+}
+
+inline std::uint32_t
+handleSlot(BusHandle h)
+{
+    return static_cast<std::uint32_t>(h) - 1;
+}
+
+inline std::uint32_t
+handleGen(BusHandle h)
+{
+    return static_cast<std::uint32_t>(h >> 32);
+}
+
+/**
+ * Bookkeeping for one virtual bus.  The hop vector is ordered from
+ * the source gap to the head gap and only grows and shrinks at the
+ * head end.
  */
 struct VirtualBus
 {
     VirtualBusId id = kNoBus;
+    /** Pool slot and its generation (BusPool); see handle(). */
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+    /** False once retired (the slot is free). */
+    bool live = false;
     net::MessageId message = net::kNoMessage;
     net::NodeId src = 0;
     net::NodeId dst = 0;
     BusState state = BusState::Advancing;
 
-    std::deque<Hop> hops;
+    std::vector<Hop> hops;
 
     /** Node the header flit currently sits at (or is travelling to). */
     net::NodeId headNode = 0;
@@ -111,11 +146,14 @@ struct VirtualBus
     /** The gap the source PE injects on. */
     GapId srcGap() const { return src; }
 
+    /** The handle naming this bus life. */
+    BusHandle handle() const { return makeBusHandle(slot, gen); }
+
     /** Whole clockwise path length in gaps. */
     std::uint32_t
     pathLength(net::NodeId n) const
     {
-        return (dst + n - src) % n;
+        return ringDistance(src, dst, n);
     }
 };
 

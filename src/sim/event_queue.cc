@@ -126,6 +126,7 @@ EventQueue::migrate()
             Node &n = nodes_[index];
             n.cb = std::move(f.cb);
             n.handle = f.handle;
+            n.period = f.period;
             h.at = index;
             pushBucket(index, n, f.when);
         }
@@ -150,11 +151,22 @@ EventQueue::scheduleBeforeCursor(Tick when) const
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::scheduleEvery(Tick when, Tick period, Callback cb)
+{
+    rmb_assert(period >= 1 && period <= kMaxPeriod,
+               "EventQueue::scheduleEvery period ", period,
+               " does not fit the ring: it must be in [1, ", kMaxPeriod,
+               "]; reschedule from the callback for longer periods");
+    return insert(when, static_cast<std::uint32_t>(period),
+                  std::move(cb));
+}
+
+EventId
+EventQueue::insert(Tick when, std::uint32_t period, Callback &&cb)
 {
     rmb_assert(cb, "scheduling a null callback");
     if (when < cursor_) {
-        if (live_ != 0)
+        if (live_ != 0 || running_ != kNil)
             scheduleBeforeCursor(when);
         // Drained, and so is far_ (its top is never a cancelled
         // entry): rebase the ring on tick 0, so that no later tick
@@ -167,13 +179,14 @@ EventQueue::schedule(Tick when, Callback cb)
         Node &n = nodes_[index];
         n.cb = std::move(cb);
         n.handle = kNil;
+        n.period = period;
         pushBucket(index, n, when);
         return makeId(index, n.gen, false);
     }
     const std::uint32_t index = allocHandle();
     Handle &h = handles_[index];
     h.at = kInFar;
-    far_.push_back(Far{when, farSeq_++, index, std::move(cb)});
+    far_.push_back(Far{when, farSeq_++, index, period, std::move(cb)});
     std::push_heap(far_.begin(), far_.end(), FarLater{});
     return makeId(index, h.gen, true);
 }
@@ -206,6 +219,14 @@ EventQueue::cancel(EventId id)
         return false;
     }
     Node &n = nodes_[node];
+    if (n.bucket == kNil) {
+        // A recurring event inside its own callback: it is already
+        // off the ring and off live_; drop the next firing.
+        if (n.period == 0)
+            return false;
+        n.period = 0;
+        return true;
+    }
     n.cb = Callback{};
     unlinkBucket(n);
     if (n.handle != kNil)
@@ -258,18 +279,46 @@ EventQueue::runNextUntil(Tick until, Tick &clock)
     const std::uint32_t index =
         buckets_[static_cast<std::uint32_t>(when) & kRingMask].head;
     Node &n = nodes_[index];
-    // Move the callback out and free the node first: the callback may
-    // schedule (reusing this node) or cancel its own, now stale, id.
     Callback cb = std::move(n.cb);
     unlinkBucket(n);
-    if (n.handle != kNil)
-        freeHandle(n.handle);
-    freeNode(index, n);
     --live_;
     ++numExecuted_;
     clock = when;
+    if (n.period != 0) {
+        fireRecurring(index, when, cb);
+        return true;
+    }
+    // Free the node first: the callback may schedule (reusing this
+    // node) or cancel its own, now stale, id.
+    if (n.handle != kNil)
+        freeHandle(n.handle);
+    freeNode(index, n);
     cb();
     return true;
+}
+
+void
+EventQueue::fireRecurring(std::uint32_t index, Tick when, Callback &cb)
+{
+    // The node stays allocated (so its id stays valid) but unlinked
+    // while the callback runs, which may grow nodes_.
+    nodes_[index].bucket = kNil;
+    const std::uint32_t outer = running_;
+    running_ = index;
+    cb();
+    running_ = outer;
+    Node &n = nodes_[index];
+    if (n.period == 0) { // cancelled by its own callback
+        if (n.handle != kNil)
+            freeHandle(n.handle);
+        freeNode(index, n);
+        return;
+    }
+    rmb_assert(cursor_ == when, "a recurring event's callback ran its"
+               " own queue forward");
+    n.cb = std::move(cb);
+    ++live_;
+    pushBucket(index, n, when + n.period);
 }
 
 Tick

@@ -17,7 +17,12 @@
  * An event that went to the heap was scheduled before any event put
  * straight into the ring for the same tick, and it moves into the
  * ring before such an insert can happen, so the FIFO order holds.
- * See docs/ENGINE.md, "Event queue".
+ *
+ * A recurring event (scheduleEvery) keeps its node: after each
+ * firing the node is linked again at `when + period`, at the tail of
+ * that tick's bucket, which is the FIFO position a callback that
+ * rescheduled itself as its last act would take.  See
+ * docs/ENGINE.md, "Event queue".
  */
 
 #pragma once
@@ -214,6 +219,10 @@ class EventQueue
         const Ops *ops_ = nullptr;
     };
 
+    /** Longest period scheduleEvery() accepts: a re-linked node must
+     *  land in the ring. */
+    static constexpr Tick kMaxPeriod = 63;
+
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -224,7 +233,22 @@ class EventQueue
      * are pending, @p when must not precede the tick of the last
      * event run; a drained queue accepts any tick.
      */
-    EventId schedule(Tick when, Callback cb);
+    EventId
+    schedule(Tick when, Callback cb)
+    {
+        return insert(when, 0, std::move(cb));
+    }
+
+    /**
+     * Schedule @p cb to fire at @p when and then every @p period
+     * ticks, in [1, kMaxPeriod], until cancelled.  Each firing
+     * counts in numExecuted(); while its callback runs the event is
+     * not pending (size(), nextTick()), exactly as if the callback
+     * rescheduled itself as its last act.  The id stays valid for
+     * every firing; cancelling it from inside the callback stops the
+     * next one.
+     */
+    EventId scheduleEvery(Tick when, Tick period, Callback cb);
 
     /**
      * Cancel a previously scheduled event.
@@ -266,7 +290,7 @@ class EventQueue
     /** 64 buckets, one occupancy word.  On the event engine ~97% of
      *  events land under 16 ticks ahead and ~0.1% between 64 and
      *  256; a larger ring only costs memory per queue. */
-    static constexpr Tick kRingSize = 64;
+    static constexpr Tick kRingSize = kMaxPeriod + 1;
     static constexpr std::uint32_t kRingMask = kRingSize - 1;
     static constexpr std::uint32_t kNil = UINT32_MAX;
     /** far_ capacity kept however empty it gets. */
@@ -279,9 +303,12 @@ class EventQueue
         std::uint32_t next = kNil; //!< bucket FIFO or free list
         std::uint32_t prev = kNil; //!< bucket FIFO
         std::uint32_t gen = 0;
+        /** Linked bucket; kNil while a recurring callback runs. */
         std::uint32_t bucket = 0;
         /** The far handle of an event that came from far_, or kNil. */
         std::uint32_t handle = kNil;
+        /** Recurrence period; 0 for a one-shot event. */
+        std::uint32_t period = 0;
     };
 
     /** Names a far event for its whole life, in far_ and after it
@@ -307,6 +334,7 @@ class EventQueue
         Tick when;
         std::uint64_t seq; //!< FIFO among far events of one tick
         std::uint32_t handle;
+        std::uint32_t period; //!< as Node::period
         Callback cb;
     };
 
@@ -334,6 +362,11 @@ class EventQueue
     /** Move every far event due before cursor_ + kRingSize into the
      *  ring, in (when, seq) order. */
     void migrate();
+    /** Run the popped recurring event in node @p index, due at
+     *  @p when, and link it again unless it was cancelled. */
+    void fireRecurring(std::uint32_t index, Tick when, Callback &cb);
+    /** Schedule with Node::period @p period (0: one-shot). */
+    EventId insert(Tick when, std::uint32_t period, Callback &&cb);
     /** Pop cancelled entries off the top of far_. */
     void dropCancelledFar();
     [[noreturn]] void scheduleBeforeCursor(Tick when) const;
@@ -355,6 +388,9 @@ class EventQueue
     Tick cursor_ = 0;
     std::uint64_t farSeq_ = 0;
     std::uint64_t live_ = 0;
+    /** Node of the recurring event whose callback runs, or kNil; it
+     *  counts as pending for the cursor rule. */
+    std::uint32_t running_ = kNil;
     std::uint64_t numExecuted_ = 0;
 };
 

@@ -42,6 +42,18 @@ class Simulator
     /** Schedule @p cb at absolute time @p when (>= now). */
     EventId scheduleAt(Tick when, EventQueue::Callback cb);
 
+    /**
+     * Run @p cb @p delay ticks from now and then every @p period
+     * ticks (at most EventQueue::kMaxPeriod) until cancelled; see
+     * EventQueue::scheduleEvery.
+     */
+    EventId
+    scheduleEvery(Tick delay, Tick period, EventQueue::Callback cb)
+    {
+        return events_.scheduleEvery(now_ + delay, period,
+                                     std::move(cb));
+    }
+
     /** Cancel a pending event; see EventQueue::cancel. */
     bool cancel(EventId id) { return events_.cancel(id); }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/types.hh"
 
 namespace rmb {
@@ -71,10 +72,25 @@ class BusyTracker
 {
   public:
     /** Mark the resource busy at time @p now (idempotent). */
-    void setBusy(Tick now);
+    void
+    setBusy(Tick now)
+    {
+        if (busy_)
+            return;
+        busy_ = true;
+        since_ = now;
+    }
 
     /** Mark the resource free at time @p now (idempotent). */
-    void setFree(Tick now);
+    void
+    setFree(Tick now)
+    {
+        if (!busy_)
+            return;
+        rmb_assert(now >= since_, "time ran backwards in BusyTracker");
+        accumulated_ += now - since_;
+        busy_ = false;
+    }
 
     /** Busy fraction of the window [0, now]. */
     double utilization(Tick now) const;

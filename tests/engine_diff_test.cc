@@ -80,6 +80,24 @@ mutateViaEnv()
 }
 
 /**
+ * Under RMB_POOL_RELOCATE (the engine_diff_relocating_pools CTest)
+ * both engines move their bus pool on every allocation and poison
+ * the old storage, so a bus reference held across an injection
+ * reads a dead bus and the sweep's digests or audits fail.
+ */
+void
+armPoolProbe(core::Engine &net)
+{
+    if (!common::mutationHook("RMB_POOL_RELOCATE"))
+        return;
+    if (auto *event = dynamic_cast<core::RmbNetwork *>(&net))
+        event->setTestRelocatePool(true);
+    else if (auto *kernel =
+                 dynamic_cast<core::CycleKernelEngine *>(&net))
+        kernel->setTestRelocatePool(true);
+}
+
+/**
  * Run @p cfg under both engines in lockstep chunks, auditing both
  * every chunk, until both reach full delivery (or a generous cap).
  * Returns the two outcome digests.
@@ -99,6 +117,8 @@ runBoth(const core::RmbConfig &cfg, std::uint64_t messages,
     sim::Simulator kernel_sim;
     auto event_net = core::makeEngine(event_sim, event_cfg);
     auto kernel_net = core::makeEngine(kernel_sim, kernel_cfg);
+    armPoolProbe(*event_net);
+    armPoolProbe(*kernel_net);
     auto *kernel = dynamic_cast<core::CycleKernelEngine *>(
         kernel_net.get());
     if (kernel == nullptr) {
@@ -304,6 +324,7 @@ TEST(EngineDiff, PermanentFaultCampaignIsDeterministicAtN96)
                                            std::uint64_t> {
             sim::Simulator s;
             auto net = core::makeEngine(s, cfg);
+            armPoolProbe(*net);
             const auto sends = makeWorkload(cfg, messages, horizon);
             for (const Send &snd : sends) {
                 s.schedule(snd.at, [&net, snd] {

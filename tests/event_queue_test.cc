@@ -9,11 +9,13 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/simulator.hh"
 
 namespace rmb {
 namespace sim {
@@ -310,12 +312,160 @@ TEST(EventQueueDeathTest, ScheduleBelowCursorWithPendingEventsPanics)
                  "before tick 100, the last event run, while 1 event");
 }
 
+TEST(EventQueue, RecurringEventFiresEveryPeriod)
+{
+    EventQueue q;
+    std::vector<Tick> fired;
+    Tick now = 0;
+    q.scheduleEvery(5, 10, [&] { fired.push_back(now); });
+    EXPECT_EQ(q.size(), 1u);
+    for (int i = 0; i < 4; ++i) {
+        now = q.nextTick(); // the callbacks read the firing tick
+        q.runOne();
+    }
+    EXPECT_EQ(fired, (std::vector<Tick>{5, 15, 25, 35}));
+    EXPECT_EQ(q.numExecuted(), 4u);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.nextTick(), 45u);
+}
+
+TEST(EventQueue, EventScheduledIntoTheNextFiringTickRunsFirst)
+{
+    // The recurring event is linked again only after its callback
+    // returns, so an event its callback schedules for the next firing
+    // tick comes first, as it did when the callback rescheduled
+    // itself as its last act.  An event scheduled before the
+    // recurring one, for a later firing tick, comes first there too.
+    EventQueue q;
+    std::vector<std::string> order;
+    Tick now = 0;
+    q.schedule(11, [&] { order.push_back("early@11"); });
+    bool first = true;
+    q.scheduleEvery(3, 4, [&] {
+        order.push_back("R@" + std::to_string(now));
+        if (first)
+            q.schedule(7, [&] { order.push_back("B@7"); });
+        first = false;
+    });
+    while (q.nextTick() <= 11) {
+        now = q.nextTick();
+        q.runOne();
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"R@3", "B@7", "R@7",
+                                               "early@11", "R@11"}));
+}
+
+TEST(EventQueue, CancelRecurringEventFromOutside)
+{
+    EventQueue q;
+    int fired = 0;
+    const EventId id = q.scheduleEvery(2, 3, [&] { ++fired; });
+    q.runOne();
+    q.runOne();
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.nextTick(), kMaxTick);
+    EXPECT_EQ(fired, 2);
+    // The node is reused without reviving the old id.
+    const EventId next = q.schedule(20, [] {});
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_TRUE(q.cancel(next));
+}
+
+TEST(EventQueue, CancelRecurringEventFromItsOwnCallback)
+{
+    EventQueue q;
+    int fired = 0;
+    EventId id = kInvalidEventId;
+    bool second_cancel = true;
+    id = q.scheduleEvery(1, 5, [&] {
+        if (++fired == 3) {
+            EXPECT_TRUE(q.cancel(id));
+            second_cancel = q.cancel(id);
+        }
+    });
+    q.schedule(40, [] {});
+    while (!q.empty())
+        q.runOne();
+    EXPECT_EQ(fired, 3);
+    EXPECT_FALSE(second_cancel);
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_EQ(q.numExecuted(), 4u);
+}
+
+TEST(EventQueue, RecurringEventIsPendingOnlyBetweenFirings)
+{
+    EventQueue q;
+    std::uint64_t size_inside = 99;
+    Tick next_inside = 0;
+    q.scheduleEvery(4, 6, [&] {
+        size_inside = q.size();
+        next_inside = q.nextTick();
+    });
+    q.schedule(30, [] {});
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.runOne(), 4u);
+    // Inside its callback the event is not pending, exactly as a
+    // self-rescheduling one-shot event is not.
+    EXPECT_EQ(size_inside, 1u);
+    EXPECT_EQ(next_inside, 30u);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.nextTick(), 10u);
+}
+
+TEST(EventQueue, RecurringEventHoldsBackAdvanceIfIdle)
+{
+    Simulator sim;
+    int fired = 0;
+    sim.scheduleEvery(2, 5, [&] { ++fired; });
+    EXPECT_EQ(sim.run(1), 1u);
+    EXPECT_EQ(sim.now(), 2u);
+    EXPECT_FALSE(sim.advanceIfIdle(7)); // the next firing is at 7
+    EXPECT_TRUE(sim.advanceIfIdle(6));
+    EXPECT_EQ(sim.runUntil(20), 3u);    // 7, 12, 17
+    EXPECT_EQ(fired, 4);
+    EXPECT_EQ(sim.numExecuted(), 4u);
+}
+
+TEST(EventQueue, RecurringEventStartingInTheFarHeap)
+{
+    EventQueue q;
+    std::vector<Tick> fired;
+    Tick now = 0;
+    const EventId id =
+        q.scheduleEvery(10'000, 7, [&] { fired.push_back(now); });
+    EXPECT_EQ(q.nextTick(), 10'000u);
+    for (int i = 0; i < 3; ++i) {
+        now = q.nextTick();
+        q.runOne();
+    }
+    EXPECT_EQ(fired, (std::vector<Tick>{10'000, 10'007, 10'014}));
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueDeathTest, RecurringPeriodMustFitTheRing)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.scheduleEvery(1, 0, [] {}), "does not fit the ring");
+    EXPECT_DEATH(
+        q.scheduleEvery(1, EventQueue::kMaxPeriod + 1, [] {}),
+        "does not fit the ring");
+    q.scheduleEvery(1, EventQueue::kMaxPeriod, [] {});
+    EXPECT_EQ(q.runOne(), 1u);
+    EXPECT_EQ(q.nextTick(), 1 + EventQueue::kMaxPeriod);
+}
+
 /**
  * Differential test against a reference model of the contract: a
  * std::map keyed (when, seq).  Random schedule/cancel/runOne
  * operations, with ticks spread across the ring and the far heap
  * and callbacks that schedule more events, must give the same firing
- * order, size(), nextTick() and cancel() results.
+ * order, size(), nextTick(), numExecuted() and cancel() results.
+ * Recurring events are in the mix: the model re-inserts one after
+ * its callback returns, with the next seq, at when + period; some
+ * cancel themselves from inside their callback.
  */
 class ReferenceHarness
 {
@@ -326,7 +476,10 @@ class ReferenceHarness
     step()
     {
         const std::uint64_t op = rng_.uniformInt(100);
-        if (op < 45) {
+        if (op < 3) {
+            scheduleEvery(cursor_ + randomDelay(),
+                          rng_.uniformRange(1, EventQueue::kMaxPeriod));
+        } else if (op < 45) {
             scheduleRandom();
         } else if (op < 60) {
             cancelRandom();
@@ -342,9 +495,12 @@ class ReferenceHarness
         ASSERT_EQ(queue_.nextTick(), model_.empty()
                                          ? kMaxTick
                                          : model_.begin()->first.first);
+        ASSERT_EQ(queue_.numExecuted(), fired_);
     }
 
     std::uint64_t fired() const { return fired_; }
+    std::uint64_t recurringFired() const { return recurringFired_; }
+    std::uint64_t selfCancelled() const { return selfCancelled_; }
 
   private:
     Tick
@@ -382,6 +538,45 @@ class ReferenceHarness
         ids_.push_back(id);
     }
 
+    /** A recurring event: its id, period and the seq of its
+     *  pending firing; `stopped` once cancelled. */
+    struct Recurring
+    {
+        EventId id = kInvalidEventId;
+        Tick period = 0;
+        std::uint64_t tag = 0;
+        bool stopped = false;
+    };
+
+    void
+    scheduleEvery(Tick when, Tick period)
+    {
+        const std::size_t k = recurring_.size();
+        const std::uint64_t tag = nextTag_++;
+        recurring_.push_back(Recurring{kInvalidEventId, period, tag});
+        // recurring_ may grow inside the callback: index, never hold.
+        auto fire = [this, k] {
+            ASSERT_EQ(recurring_[k].tag, expected_);
+            ++fired_;
+            ++recurringFired_;
+            if (rng_.bernoulli(0.3))
+                scheduleRandom();
+            if (rng_.bernoulli(0.05)) {
+                ASSERT_TRUE(queue_.cancel(recurring_[k].id));
+                ASSERT_FALSE(queue_.cancel(recurring_[k].id));
+                recurring_[k].stopped = true;
+                ++selfCancelled_;
+            }
+        };
+        const EventId id =
+            queue_.scheduleEvery(when, period, std::move(fire));
+        recurring_[k].id = id;
+        recurringOf_.emplace(id, k);
+        model_.emplace(Key{when, tag}, id);
+        keyOf_.emplace(id, Key{when, tag});
+        ids_.push_back(id);
+    }
+
     void
     cancelRandom()
     {
@@ -393,6 +588,9 @@ class ReferenceHarness
         if (expect) {
             model_.erase(it->second);
             keyOf_.erase(it);
+            const auto rec = recurringOf_.find(id);
+            if (rec != recurringOf_.end())
+                recurring_[rec->second].stopped = true;
         }
         ASSERT_EQ(queue_.cancel(id), expect);
     }
@@ -402,11 +600,21 @@ class ReferenceHarness
     {
         const auto head = model_.begin();
         const Tick when = head->first.first;
+        const EventId id = head->second;
         expected_ = head->first.second;
-        keyOf_.erase(head->second);
+        keyOf_.erase(id);
         model_.erase(head);
         cursor_ = when;
         ASSERT_EQ(queue_.runOne(), when);
+        // A recurring event is linked again after its callback, so
+        // its next firing takes the next seq.
+        const auto rec = recurringOf_.find(id);
+        if (rec == recurringOf_.end() || recurring_[rec->second].stopped)
+            return;
+        Recurring &r = recurring_[rec->second];
+        r.tag = nextTag_++;
+        model_.emplace(Key{when + r.period, r.tag}, id);
+        keyOf_.emplace(id, Key{when + r.period, r.tag});
     }
 
     using Key = std::pair<Tick, std::uint64_t>; //!< (when, seq)
@@ -417,10 +625,14 @@ class ReferenceHarness
     std::map<Key, EventId> model_;
     std::map<EventId, Key> keyOf_;
     std::vector<EventId> ids_;
+    std::vector<Recurring> recurring_;
+    std::map<EventId, std::size_t> recurringOf_;
     Tick cursor_ = 0;
     std::uint64_t nextTag_ = 0;
     std::uint64_t expected_ = 0;
     std::uint64_t fired_ = 0;
+    std::uint64_t recurringFired_ = 0;
+    std::uint64_t selfCancelled_ = 0;
 };
 
 TEST(EventQueue, MatchesReferenceModel)
@@ -433,6 +645,8 @@ TEST(EventQueue, MatchesReferenceModel)
                 FAIL() << "seed " << seed << " op " << i;
         }
         EXPECT_GT(h.fired(), 5'000u) << "seed " << seed;
+        EXPECT_GT(h.recurringFired(), 1'000u) << "seed " << seed;
+        EXPECT_GT(h.selfCancelled(), 20u) << "seed " << seed;
     }
 }
 

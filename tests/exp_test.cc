@@ -685,9 +685,9 @@ TEST(Sweep, BadPointIsCapturedNotFatal)
 TEST(Sweep, WorkloadThatDoesNotFitIsCapturedNotFatal)
 {
     // local:9 on 8 nodes and bitrev on 12 would abort in the traffic
-    // generators, and rot:8 on 8 nodes is no traffic at all; the
-    // factory turns them into per-point errors and every other point
-    // still runs.
+    // generators, rot:8 on 8 nodes is no traffic at all, and
+    // hrel:4000000000 would allocate 32e9 pairs; the factory turns
+    // them into per-point errors and every other point still runs.
     exp::SweepSpec spec;
     std::vector<std::string> errors;
     ASSERT_TRUE(exp::SweepSpec::fromJson(R"({
@@ -696,14 +696,16 @@ TEST(Sweep, WorkloadThatDoesNotFitIsCapturedNotFatal)
       "mode": "zip",
       "axes": [ { "field": "workload",
                   "values": ["uniform", "local:9", "bitrev",
-                             "local:3", "bitrev", "rot:8"] },
-                { "field": "nodes", "values": [8, 8, 12, 8, 8, 8] } ]
+                             "local:3", "bitrev", "rot:8",
+                             "hrel:4000000000"] },
+                { "field": "nodes",
+                  "values": [8, 8, 12, 8, 8, 8, 8] } ]
     })",
                                          spec, errors))
         << joined(errors);
     const auto outcome = exp::runSweep(spec, 2);
-    ASSERT_EQ(outcome.results.size(), 6u);
-    EXPECT_EQ(outcome.failures, 3u);
+    ASSERT_EQ(outcome.results.size(), 7u);
+    EXPECT_EQ(outcome.failures, 4u);
     EXPECT_TRUE(outcome.results[0].ok) << outcome.results[0].error;
     EXPECT_NE(outcome.results[1].error.find("distance below"),
               std::string::npos)
@@ -715,6 +717,11 @@ TEST(Sweep, WorkloadThatDoesNotFitIsCapturedNotFatal)
     EXPECT_NE(outcome.results[5].error.find("to its source"),
               std::string::npos)
         << outcome.results[5].error;
+    EXPECT_NE(outcome.results[6].error.find(
+                  "32000000000 messages; a batch holds at most " +
+                  std::to_string(exp::kMaxBatchMessages)),
+              std::string::npos)
+        << outcome.results[6].error;
 }
 
 TEST(Sweep, OptionsANetworkWouldIgnoreAreRefused)
