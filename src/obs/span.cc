@@ -267,6 +267,11 @@ SpanBuilder::onEvent(const TraceEvent &event)
       case EventKind::BridgeArrive:
       case EventKind::BridgeDepart:
       case EventKind::BridgeDeflect:
+      case EventKind::BridgeFail:
+      case EventKind::BridgeRepair:
+      // The Fail event deadLetterMessage emits next closes the
+      // message's open phases; a = DeadLetterReason.
+      case EventKind::DeadLetter:
         instants_.push_back(event);
         break;
       case EventKind::DataFlit:

@@ -84,7 +84,8 @@ struct Span
  * emission order (live, or replayed from a file), then call
  * finish(now) once; spans() returns every completed interval and
  * instants() the point events worth plotting (Nack, Fail,
- * SegmentFail/Repair, BusSevered, MessageRecovered, WatchdogFire).
+ * DeadLetter, SegmentFail/Repair, BusSevered, MessageRecovered,
+ * WatchdogFire, and the bridge arrive/depart/deflect/fail/repair).
  */
 class SpanBuilder final : public TraceSink
 {

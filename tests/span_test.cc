@@ -219,6 +219,54 @@ TEST(SpanBuilder, InFlightSpansAtFinishAreFlaggedNotDropped)
     EXPECT_EQ(b.spans().size(), n);
 }
 
+TEST(SpanBuilder, DeadLetterIsKeptAsAnInstant)
+{
+    // A write-off emits DeadLetter (a = reason) and then the Fail
+    // that closes the message's open phases.
+    SpanBuilder b;
+    b.onEvent(ev(EventKind::Inject, 0, 7, 0, 3));
+    b.onEvent(ev(EventKind::DeadLetter, 25, 7, 0, 3, 0, -1,
+                 kDeadRetriesExhausted));
+    b.onEvent(ev(EventKind::Fail, 25, 7, 0, 3));
+    b.finish(100);
+
+    const Span *setup = findSpan(b.spans(), SpanKind::Setup);
+    ASSERT_NE(setup, nullptr);
+    EXPECT_FALSE(setup->open);
+    EXPECT_EQ(setup->end, 25u);
+    ASSERT_EQ(b.instants().size(), 2u);
+    EXPECT_EQ(b.instants()[0].kind, EventKind::DeadLetter);
+    EXPECT_EQ(b.instants()[0].message, 7u);
+    EXPECT_EQ(b.instants()[0].a, kDeadRetriesExhausted);
+    EXPECT_EQ(b.instants()[1].kind, EventKind::Fail);
+}
+
+TEST(SpanBuilder, BridgeFailIsKeptAsAnInstant)
+{
+    SpanBuilder b;
+    b.onEvent(ev(EventKind::BridgeFail, 30, 0, 0, 2, 0, -1, 1));
+    b.finish(100);
+
+    EXPECT_TRUE(b.spans().empty());
+    ASSERT_EQ(b.instants().size(), 1u);
+    EXPECT_EQ(b.instants()[0].kind, EventKind::BridgeFail);
+    EXPECT_EQ(b.instants()[0].node, 2u);
+    EXPECT_EQ(b.instants()[0].a, 1u); // permanent
+}
+
+TEST(SpanBuilder, BridgeRepairIsKeptAsAnInstant)
+{
+    SpanBuilder b;
+    b.onEvent(ev(EventKind::BridgeRepair, 90, 0, 0, 2));
+    b.finish(100);
+
+    EXPECT_TRUE(b.spans().empty());
+    ASSERT_EQ(b.instants().size(), 1u);
+    EXPECT_EQ(b.instants()[0].kind, EventKind::BridgeRepair);
+    EXPECT_EQ(b.instants()[0].at, 90u);
+    EXPECT_EQ(b.instants()[0].node, 2u);
+}
+
 TEST(LogHistogram, BucketBoundariesArePowersOfTwo)
 {
     EXPECT_EQ(LogHistogram::bucketIndex(0), 0u);
