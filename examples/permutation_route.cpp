@@ -32,30 +32,27 @@ drawFrame(const core::RmbNetwork &network, sim::Tick now)
     const auto n = segments.numGaps();
     const auto k = segments.numLevels();
 
-    // Stable letters per live bus id.
-    std::map<core::VirtualBusId, char> letter;
-    for (const auto id : network.liveBusIds())
-        letter[id] = static_cast<char>(
-            'A' + static_cast<char>(letter.size() % 26));
+    // A stable letter per live bus, drawn on every segment it holds
+    // ('*' on the lower claim of a make-before-break move).
+    std::map<std::pair<core::GapId, int>, char> held;
+    std::size_t live = 0;
+    for (const auto id : network.liveBusIds()) {
+        const char letter = static_cast<char>('A' + live++ % 26);
+        for (const auto &h : network.bus(id)->hops) {
+            held[{h.gap, h.level}] = letter;
+            if (h.inMove())
+                held[{h.gap, h.dualLevel}] = '*';
+        }
+    }
 
     std::printf("t=%-6llu  live buses: %zu\n",
-                static_cast<unsigned long long>(now),
-                letter.size());
+                static_cast<unsigned long long>(now), live);
     for (int l = static_cast<int>(k) - 1; l >= 0; --l) {
         std::printf("  L%d %s|", l, l == static_cast<int>(k) - 1
                                        ? "(top)" : "     ");
         for (core::GapId g = 0; g < n; ++g) {
-            const auto id = segments.occupant(g, l);
-            if (id == core::kNoBus) {
-                std::printf(" .");
-                continue;
-            }
-            const core::VirtualBus *bus = network.bus(id);
-            bool dual = false;
-            for (const auto &h : bus->hops)
-                if (h.gap == g && h.dualLevel == l)
-                    dual = true;
-            std::printf(" %c", dual ? '*' : letter[id]);
+            const auto it = held.find({g, l});
+            std::printf(" %c", it == held.end() ? '.' : it->second);
         }
         std::printf("\n");
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The recycled slot pool that holds the virtual buses of both
- * engines: RmbNetwork's VirtualBus and the cycle kernel's KBus.
+ * engines (ProtocolCore's BusPool<VirtualBus>).
  *
  * A bus is addressed by its slot plus the slot's generation
  * (BusHandle in virtual_bus.hh).  retire() bumps the generation, so

@@ -134,10 +134,10 @@ enum class MoveRuleVariant : std::uint8_t
  * still moves so a waiting header can sink toward the lowest free
  * levels (Theorem 1).
  *
- * Templated on the bus type so every backend shares the one rule:
- * @p BusT needs `.state`, and `.hops` indexable to Hop-shaped
- * elements (RmbNetwork's VirtualBus, the cycle kernel's KBus, and
- * the model checker's bus all qualify).
+ * Templated on the bus type so the engines and the model checker
+ * share the one rule: @p BusT needs `.state`, and `.hops` indexable
+ * to Hop-shaped elements (the engines' VirtualBus and the model
+ * checker's bus both qualify).
  */
 template <typename BusT, typename IsFree>
 bool

@@ -1,7 +1,10 @@
 #include "rmb/config.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+
+#include "sim/random.hh"
 
 namespace rmb {
 namespace core {
@@ -236,6 +239,21 @@ engineKindName(EngineKind kind)
         return "kernel";
     }
     return "?";
+}
+
+sim::Tick
+retryBackoff(sim::Random &rng, const RmbConfig &config,
+             std::uint32_t attempts)
+{
+    const sim::Tick backoff =
+        rng.uniformRange(config.retryBackoffMin, config.retryBackoffMax);
+    if (!config.exponentialBackoff)
+        return backoff;
+    const std::uint32_t shift = std::min(attempts, 16u);
+    if ((backoff << shift) < config.retryBackoffCap)
+        return backoff << shift;
+    return rng.uniformRange(config.retryBackoffCap / 2,
+                            config.retryBackoffCap);
 }
 
 const char *

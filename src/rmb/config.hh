@@ -13,6 +13,9 @@
 #include "sim/types.hh"
 
 namespace rmb {
+namespace sim {
+class Random;
+} // namespace sim
 namespace core {
 
 /**
@@ -255,6 +258,18 @@ struct RmbConfig
      */
     std::vector<std::string> validate() const;
 };
+
+/**
+ * The retry backoff law of the retryBackoff* fields: a uniform draw
+ * from [retryBackoffMin, retryBackoffMax], shifted left once per
+ * earlier attempt (at most 16) under exponentialBackoff.  A shifted
+ * value at or past retryBackoffCap is replaced by a second draw from
+ * [cap / 2, cap]: a deterministic capped backoff would phase-lock
+ * colliding senders into permanent livelock.  Source retries and
+ * hier bridge deflections both back off by it.
+ */
+sim::Tick retryBackoff(sim::Random &rng, const RmbConfig &config,
+                       std::uint32_t attempts);
 
 } // namespace core
 } // namespace rmb

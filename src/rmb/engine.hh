@@ -4,15 +4,17 @@
  *
  * Everything outside `src/rmb` that drives an RMB simulation -
  * benches, sweeps, fault injection, trace sinks, reports - depends
- * only on this interface.  Two backends implement it:
+ * only on this interface.  Two backends implement it, both on the
+ * shared protocol core (`ProtocolCore`, protocol_core.hh: the bus
+ * pool, the bitplane segment store and the handlers written once):
  *
  *  - `RmbNetwork` (network.hh): the reference discrete-event engine;
  *    every header hop, INC cycle tick and teardown step is a
  *    `sim::EventQueue` event with per-INC clock skew.
  *  - `CycleKernelEngine` (kernel/kernel_engine.hh): a time-stepped
- *    structure-of-arrays kernel; segment occupancy and fault state
- *    live in uint64_t bitplanes, compaction candidates are filtered
- *    word-parallel, and the protocol agenda is a bucket timing wheel.
+ *    kernel; compaction candidates are filtered word-parallel over
+ *    the segment bitplanes, and the protocol agenda is a bucket
+ *    timing wheel.
  *
  * Select a backend with `RmbConfig::engine` and construct through
  * `makeEngine()`; see docs/ENGINE.md for the full contract, the

@@ -314,28 +314,17 @@ HierNetwork::offerToBridge(std::uint32_t bridge, Pending pending,
 
     // Buffer full (or the bridge transiently out of service):
     // deflect.  The message re-enters the Nack/backoff machinery -
-    // same law as a source retry (network.cc scheduleRetry),
-    // jittered from the bridge's own substream so colliding messages
-    // cannot phase-lock.
+    // the source-retry law (retryBackoff), jittered from the
+    // bridge's own substream so colliding messages cannot
+    // phase-lock.
     ++bridgeDeflections_;
     net::Message &m = messageRef(pending.ours);
     ++m.nacks;
     ++stats_.nacks;
     ++m.retries;
     ++stats_.retries;
-    sim::Tick backoff = br.rng.uniformRange(
-        config_.retryBackoffMin, config_.retryBackoffMax);
-    if (config_.exponentialBackoff) {
-        const std::uint32_t shift =
-            std::min(pending.deflects, 16u);
-        if ((backoff << shift) >= config_.retryBackoffCap) {
-            backoff = br.rng.uniformRange(
-                config_.retryBackoffCap / 2,
-                config_.retryBackoffCap);
-        } else {
-            backoff <<= shift;
-        }
-    }
+    const sim::Tick backoff =
+        core::retryBackoff(br.rng, config_, pending.deflects);
     ++pending.deflects;
     emitBridgeEvent(obs::EventKind::BridgeDeflect, bridge, pending,
                     at, backoff);

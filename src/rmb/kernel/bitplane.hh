@@ -1,21 +1,21 @@
 /**
  * @file
- * Structure-of-arrays segment state for the cycle kernel.
+ * Structure-of-arrays segment state: the N x k segment grid both
+ * engines keep (ProtocolCore's segment store).
  *
- * The event engine's SegmentTable is an array-of-cells keyed by
- * (gap, level).  The kernel instead keeps one *bitplane* per level:
- * a row of ceil(N/64) uint64_t words in which bit g is gap g's
- * segment.  Occupancy and fault state are separate plane sets, so
- * per-cycle compaction candidate filtering collapses to a handful of
- * word-parallel AND/OR/NOT ops per level:
+ * One *bitplane* per level: a row of ceil(N/64) uint64_t words in
+ * which bit g is gap g's segment.  Occupancy and fault state are
+ * separate plane sets, so the cycle kernel's per-cycle compaction
+ * candidate filter collapses to a handful of word-parallel
+ * AND/OR/NOT ops per level:
  *
  *   candidates(l) = occ(l) & parity(l, c) & ~(occ(l-1) | faulty(l-1))
  *
  * Ownership (which bus holds a claimed segment) cannot be a bitplane
- * - it is a dense level-major array of pool-slot indices consulted
- * only for the bits that survive the filter.  Busy tracking for
- * utilization reports rides along per cell, exactly mirroring
- * SegmentTable's semantics (a faulted segment counts as busy).
+ * - it is a dense level-major array of pool-slot indices.  A fault
+ * is orthogonal to occupancy: a faulted segment may keep its owner
+ * while the severed bus tears down.  Busy tracking for utilization
+ * reports rides along per cell; a faulted segment counts as busy.
  */
 
 #pragma once
@@ -98,8 +98,7 @@ class SegmentPlanes
                 (gap % 64)) & 1;
     }
 
-    /** Claimable: neither occupied nor faulted (SegmentTable's
-     *  isFree). */
+    /** Claimable: neither occupied nor faulted. */
     bool
     isFree(GapId gap, Level level) const
     {
@@ -221,6 +220,9 @@ class SegmentPlanes
     cellIndex(GapId gap, Level level) const
     {
         rmb_assert(gap < numGaps_, "gap ", gap, " out of range");
+        rmb_assert(level >= 0 && static_cast<std::uint32_t>(level) <
+                       numLevels_,
+                   "level ", level, " out of range");
         return static_cast<std::size_t>(level) * numGaps_ + gap;
     }
 

@@ -4,12 +4,13 @@
  *
  * Same protocol as RmbNetwork (top-bus injection, header propagation
  * with Hack/Nack, closed-form pipelined streaming, Fack teardown,
- * make-before-break compaction, transient-fault sever/recovery), a
- * different execution model:
+ * make-before-break compaction, transient-fault sever/recovery) - the
+ * handlers both share are ProtocolCore's - with a different
+ * execution model:
  *
- *  - Segment occupancy and fault state are uint64_t bitplanes
- *    (kernel/bitplane.hh); the compaction make step filters its
- *    candidates word-parallel per level instead of per-INC events.
+ *  - The compaction make step filters its candidates word-parallel
+ *    per level over the segment bitplanes (kernel/bitplane.hh)
+ *    instead of per-INC events.
  *  - Compaction is one synchronous global cycle of fixed period P
  *    (drawn once from [cyclePeriodMin, cyclePeriodMax]): gap g moves
  *    its levels of parity (g + c) mod 2 at cycle c - the same
@@ -23,10 +24,10 @@
  *    next due tick), and drains every wheel action for that tick in
  *    one wake.  simulator().now() therefore stays the single time
  *    source, and all message timestamps are exact.
- *  - Virtual buses live in a recycled slot pool with generation
- *    counters; a sever or teardown bumps the generation, which
- *    lazily invalidates every in-flight wheel action of the old
- *    life - the kernel never cancels.
+ *  - A wheel action names its bus by pool slot and generation; the
+ *    kernel bumps the generation when a teardown starts (and the
+ *    pool when the bus retires), which lazily invalidates every
+ *    in-flight action of the old life - the kernel never cancels.
  *
  * Configurations the kernel cannot model (detailedFlits, Wait-mode
  * blocking) are refused by RmbConfig::validate() with the exact
@@ -39,96 +40,28 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "obs/trace.hh"
-#include "rmb/bus_pool.hh"
 #include "rmb/config.hh"
-#include "rmb/engine.hh"
-#include "rmb/kernel/bitplane.hh"
-#include "rmb/pe.hh"
+#include "rmb/protocol_core.hh"
 #include "rmb/types.hh"
 #include "rmb/virtual_bus.hh"
-#include "sim/random.hh"
 
 namespace rmb {
 namespace core {
 
-class FaultSchedule;
-
-class CycleKernelEngine : public Engine
+class CycleKernelEngine : public ProtocolCore<CycleKernelEngine>
 {
   public:
     CycleKernelEngine(sim::Simulator &simulator,
                       const RmbConfig &config);
     ~CycleKernelEngine() override;
 
-    net::MessageId send(net::NodeId src, net::NodeId dst,
-                        std::uint32_t payload_flits) override;
-
-    const RmbConfig &
-    config() const override
-    {
-        return config_;
-    }
-    const RmbStats &
-    rmbStats() const override
-    {
-        return rmbStats_;
-    }
-
-    void failSegment(GapId gap, Level level) override;
-    void repairSegment(GapId gap, Level level) override;
-    void auditInvariants() const override;
-
-    bool
-    segmentOccupied(GapId gap, Level level) const override
-    {
-        return planes_.occupied(gap, level);
-    }
-    bool
-    segmentFaulty(GapId gap, Level level) const override
-    {
-        return planes_.faulted(gap, level);
-    }
-    std::uint32_t
-    faultySegments() const override
-    {
-        return planes_.faultyCount();
-    }
-    std::uint64_t
-    occupiedSegments() const override
-    {
-        return planes_.occupiedCount();
-    }
-    double
-    segmentUtilization(GapId gap, Level level,
-                       sim::Tick now) const override
-    {
-        return planes_.utilization(gap, level, now);
-    }
-    double
-    averageSegmentUtilization(sim::Tick now) const override
-    {
-        return planes_.averageUtilization(now);
-    }
-
     /** Completed global compaction cycles (make steps). */
     std::uint64_t cycles() const { return cycleIndex_; }
 
-    // --- delivery supervisor hooks (docs/ENGINE.md) ---
-
     /** Base stamp + the carrying pooled bus's id/state/gen/extent. */
     std::uint64_t progressStamp(net::MessageId id) const override;
-
-    /**
-     * Bus-carried messages are exempt (the wheel cannot lose
-     * actions); a queued message whose route permanent damage has
-     * cut is dead-lettered.
-     */
-    bool rescueStalled(net::MessageId id) override;
 
     /**
      * Testing-only seeded divergence (tests/engine_diff_test.cc's
@@ -143,37 +76,8 @@ class CycleKernelEngine : public Engine
     };
     void setTestMutation(TestMutation m) { mutation_ = m; }
 
-    /**
-     * Test probe: move the bus pool to fresh storage on every slot
-     * allocation and poison the old (BusPool::setRelocateOnAlloc).
-     */
-    void
-    setTestRelocatePool(bool on)
-    {
-        pool_.setRelocateOnAlloc(on);
-    }
-
   private:
-    /** One pooled virtual bus; satisfies hopMovableRule's BusT. */
-    struct KBus
-    {
-        VirtualBusId id = kNoBus;
-        net::MessageId message = net::kNoMessage;
-        net::NodeId src = 0;
-        net::NodeId dst = 0;
-        BusState state = BusState::Advancing;
-        net::NodeId headNode = 0;
-        sim::Tick injectedAt = 0;
-        std::uint32_t hopsFreed = 0;
-        bool topReleased = false;
-        bool live = false;
-        /** Bumped on teardown start and retirement; stale wheel
-         *  actions compare and drop. */
-        std::uint32_t gen = 0;
-        std::vector<Hop> hops;
-
-        GapId srcGap() const { return src; }
-    };
+    friend class ProtocolCore<CycleKernelEngine>;
 
     /** One deferred protocol step on the timing wheel. */
     struct Action
@@ -216,27 +120,43 @@ class CycleKernelEngine : public Engine
     sim::Tick nextDue() const;
     void rearm();
 
-    // --- protocol steps (mirrors of the event engine's) ---
-    void tryInject(net::NodeId node);
+    // --- agenda and hooks for ProtocolCore ---
+    void
+    scheduleHeaderArrive(const VirtualBus &bus)
+    {
+        scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
+                       bus.slot, bus.gen);
+    }
+    void
+    scheduleTeardownStep(const VirtualBus &bus)
+    {
+        scheduleAction(config_.ackHopDelay, Action::TeardownStep,
+                       bus.slot, bus.gen);
+    }
+    void
+    scheduleInject(net::NodeId node, sim::Tick delay)
+    {
+        scheduleAction(delay, Action::TryInject, node, 0);
+    }
+    void onInjected() { armCycle(); }
+    /** Invalidate every in-flight header/Hack/FF action of this
+     *  life; the teardown walk runs on the new generation. */
+    void onTeardownStart(VirtualBus &bus) { ++bus.gen; }
+    /** A fault or repair outside processTick changed the grid. */
+    void
+    faultsChanged()
+    {
+        if (cycleQuiet_)
+            exitQuietCycles(simulator().now());
+    }
+    std::uint32_t pathLength(const VirtualBus &bus) const;
+    void auditBus(const VirtualBus &bus) const;
+
+    // --- the flit path ---
     void headerArrive(std::uint32_t slot);
     void tryAdvance(std::uint32_t slot);
-    void acceptAtDestination(KBus &bus);
+    void acceptAtDestination(VirtualBus &bus);
     void hackArriveAtSource(std::uint32_t slot);
-    void finalFlitArrive(std::uint32_t slot);
-    void startTeardown(KBus &bus, BusState kind);
-    void teardownStep(std::uint32_t slot);
-    void busFinished(std::uint32_t slot, const Hop &last_hop);
-    void scheduleRetry(net::NodeId node, net::MessageId msg);
-    void severOccupant(GapId gap, Level level, std::uint32_t slot);
-    void severBus(KBus &bus, std::uint64_t reason);
-    /** Dead-letter @p m (severedAt_ lost accounting included). */
-    void writeOff(net::Message &m, obs::DeadLetterReason reason);
-    /** Free one segment of the bus in @p slot.  The wakeup may
-     *  inject a bus and grow pool_, so it takes a slot, not a
-     *  `KBus &`, and callers re-read pool_ afterwards. */
-    void releaseSegment(std::uint32_t slot, GapId gap, Level level,
-                        std::uint64_t reason);
-    void segmentFreed(GapId gap, Level level);
 
     // --- compaction cycle ---
     void armCycle();
@@ -244,30 +164,7 @@ class CycleKernelEngine : public Engine
     void breakStep(sim::Tick now);
     void exitQuietCycles(sim::Tick now);
 
-    // --- helpers ---
-    std::uint32_t allocSlot();
-    net::NodeId effectiveDst(const KBus &bus) const;
-    std::uint32_t pathLength(const KBus &bus) const;
-    bool isFree(GapId gap, Level level) const;
-    std::size_t hopIndexAt(const KBus &bus, GapId gap) const;
-    obs::TraceEvent busEvent(obs::EventKind kind, const KBus &bus,
-                             net::NodeId node, GapId gap = 0,
-                             Level level = kNoLevel) const;
-    void checkAfterMutation() const;
-
-    RmbConfig config_;
-    sim::Random rng_;
-    kernel::SegmentPlanes planes_;
-    std::vector<Pe> pes_;
-
-    /** Bus slots.  Growth moves every KBus, so no `KBus &` may be
-     *  held across a call that can inject a bus (releaseSegment,
-     *  segmentFreed, tryInject, busFinished -> allocSlot).  Every
-     *  live bus holds a segment from allocSlot() until retire(), so
-     *  the pool never exceeds N*k slots. */
-    BusPool<KBus> pool_;
-    VirtualBusId nextBusId_ = 1;
-    std::uint64_t liveBuses_ = 0;
+    net::NodeId effectiveDst(const VirtualBus &bus) const;
 
     // Timing wheel: power-of-two buckets over absolute tick & mask;
     // actions with delay >= wheel span overflow to farActions_.
@@ -303,11 +200,7 @@ class CycleKernelEngine : public Engine
     bool cycleQuiet_ = false;
     std::uint64_t quietEpoch_ = 0;
 
-    std::unordered_map<net::MessageId, sim::Tick> severedAt_;
-    std::unique_ptr<FaultSchedule> faults_;
     TestMutation mutation_ = TestMutation::None;
-
-    RmbStats rmbStats_;
 };
 
 } // namespace core

@@ -68,11 +68,10 @@ isTeardown(BusState s)
  * one in the low 32 bits, the slot's generation above.  The
  * generation changes when the bus retires, so a handle names one
  * bus life, like its VirtualBusId, but finds it without a hash.  0
- * (kNoHandle == kNoBus) is never a handle.
+ * is never a handle.  The event engine's steps, waiter lists and
+ * move records hold handles.
  */
 using BusHandle = std::uint64_t;
-
-constexpr BusHandle kNoHandle = 0;
 
 inline BusHandle
 makeBusHandle(std::uint32_t slot, std::uint32_t gen)
@@ -100,7 +99,9 @@ handleGen(BusHandle h)
 struct VirtualBus
 {
     VirtualBusId id = kNoBus;
-    /** Pool slot and its generation (BusPool); see handle(). */
+    /** Pool slot and its generation (BusPool); see handle().  The
+     *  cycle kernel also bumps gen when a teardown starts, to stale
+     *  its pending wheel actions. */
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
     /** False once retired (the slot is free). */

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
@@ -39,13 +44,13 @@ TEST(Fault, SingleFaultedSegmentIsAvoided)
     sim::Simulator s;
     RmbNetwork net(s, cfg(16, 4));
     net.failSegment(5, 1);
-    EXPECT_TRUE(net.segments().isFaulty(5, 1));
+    EXPECT_TRUE(net.segments().faulted(5, 1));
     EXPECT_EQ(net.segments().faultyCount(), 1u);
     const auto id = net.send(2, 9, 64); // crosses gap 5
     runToQuiescence(s, net);
     EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
     // The faulted cell never carried the bus.
-    EXPECT_TRUE(net.segments().isFaulty(5, 1));
+    EXPECT_TRUE(net.segments().faulted(5, 1));
 }
 
 TEST(Fault, CompactionNeverMovesIntoAFault)
@@ -61,7 +66,7 @@ TEST(Fault, CompactionNeverMovesIntoAFault)
     ASSERT_EQ(ids.size(), 1u);
     for (const Hop &h : net.bus(ids[0])->hops) {
         EXPECT_GE(h.level, 1) << "gap " << h.gap;
-        EXPECT_FALSE(net.segments().isFaulty(h.gap, h.level));
+        EXPECT_FALSE(net.segments().faulted(h.gap, h.level));
     }
     runToQuiescence(s, net);
     EXPECT_TRUE(net.quiescent());
@@ -148,7 +153,7 @@ TEST(Fault, ThroughputDegradesGracefullyWithFaults)
                     frng.uniformInt(16));
                 const auto l = static_cast<Level>(
                     frng.uniformInt(3)); // never the top
-                if (!net.segments().isFaulty(g, l)) {
+                if (!net.segments().faulted(g, l)) {
                     net.failSegment(g, l);
                     ++injected;
                 }
@@ -257,103 +262,119 @@ TEST(Fault, RepairRestoresInjectionAtThatNode)
     s.runFor(5'000);
     EXPECT_EQ(net.message(id).state, net::MessageState::Queued);
     net.repairSegment(3, 1);
-    EXPECT_FALSE(net.segments().isFaulty(3, 1));
+    EXPECT_FALSE(net.segments().faulted(3, 1));
     runToQuiescence(s, net, 500'000);
     EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
     EXPECT_EQ(net.rmbStats().faultsInjected, 1u);
     EXPECT_EQ(net.rmbStats().faultsRepaired, 1u);
 }
 
-TEST(Fault, MidMoveFaultOnTargetCancelsTheMove)
+// The mid-move fault cases run on both engines, which share the
+// sever/move-cancel handler (ProtocolCore::severOccupant).
+
+std::vector<VirtualBusId>
+liveBuses(const Engine &e)
 {
-    sim::Simulator s;
-    RmbConfig c = cfg(10, 4);
-    c.transientFaults = true;
-    c.cyclePeriodMin = 40; // long cycles: wide make->break window
-    c.cyclePeriodMax = 60;
-    RmbNetwork net(s, c);
-    const auto id = net.send(1, 6, 100'000); // hold the bus a while
-
-    // Catch a hop mid-move (make done, break still pending).
-    GapId g = 0;
-    Level from = kNoLevel;
-    Level to = kNoLevel;
-    for (int i = 0; i < 20'000 && to == kNoLevel; ++i) {
-        s.run(1);
-        for (const VirtualBusId bid : net.liveBusIds()) {
-            for (const Hop &h : net.bus(bid)->hops) {
-                if (h.inMove()) {
-                    g = h.gap;
-                    from = h.level;
-                    to = h.dualLevel;
-                    break;
-                }
-            }
-        }
-    }
-    ASSERT_NE(to, kNoLevel) << "no compaction move observed";
-
-    // Kill the move *target*: the move is cancelled, the hop stays
-    // on its (live) old level, and the bus survives.
-    net.failSegment(g, to);
-    EXPECT_EQ(net.rmbStats().busesSevered, 0u);
-    const auto ids = net.liveBusIds();
-    ASSERT_EQ(ids.size(), 1u);
-    for (const Hop &h : net.bus(ids[0])->hops) {
-        if (h.gap == g) {
-            EXPECT_EQ(h.level, from);
-            EXPECT_FALSE(h.inMove());
-        }
-    }
-    net.repairSegment(g, to);
-    runToQuiescence(s, net, 4'000'000);
-    EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
+    if (const auto *k = dynamic_cast<const CycleKernelEngine *>(&e))
+        return k->liveBusIds();
+    return dynamic_cast<const RmbNetwork &>(e).liveBusIds();
 }
 
-TEST(Fault, MidMoveFaultOnOldLevelCompletesTheMove)
+const VirtualBus *
+busOf(const Engine &e, VirtualBusId id)
 {
-    sim::Simulator s;
-    RmbConfig c = cfg(10, 4);
-    c.transientFaults = true;
-    c.cyclePeriodMin = 40;
-    c.cyclePeriodMax = 60;
-    RmbNetwork net(s, c);
-    const auto id = net.send(1, 6, 100'000);
+    if (const auto *k = dynamic_cast<const CycleKernelEngine *>(&e))
+        return k->bus(id);
+    return dynamic_cast<const RmbNetwork &>(e).bus(id);
+}
 
-    GapId g = 0;
-    Level from = kNoLevel;
-    Level to = kNoLevel;
-    for (int i = 0; i < 20'000 && to == kNoLevel; ++i) {
-        s.run(1);
-        for (const VirtualBusId bid : net.liveBusIds()) {
-            for (const Hop &h : net.bus(bid)->hops) {
-                if (h.inMove()) {
-                    g = h.gap;
-                    from = h.level;
-                    to = h.dualLevel;
-                    break;
+/** The hop at @p gap of the one live bus. */
+Hop
+hopAt(const Engine &e, GapId gap)
+{
+    const auto ids = liveBuses(e);
+    EXPECT_EQ(ids.size(), 1u);
+    for (const Hop &h : busOf(e, ids.at(0))->hops)
+        if (h.gap == gap)
+            return h;
+    ADD_FAILURE() << "no hop at gap " << gap;
+    return Hop{};
+}
+
+class MidMoveFault : public ::testing::TestWithParam<EngineKind>
+{
+  protected:
+    /** One long message on a 10x4 ring with long compaction cycles
+     *  (a wide make->break window), stepped one tick at a time until
+     *  a hop is caught mid-move (make done, break still pending). */
+    void
+    SetUp() override
+    {
+        RmbConfig c = cfg(10, 4);
+        c.engine = GetParam();
+        c.transientFaults = true;
+        c.cyclePeriodMin = 40;
+        c.cyclePeriodMax = 60;
+        net = makeEngine(s, c);
+        id = net->send(1, 6, 100'000); // hold the bus a while
+        for (int i = 0; i < 20'000 && to == kNoLevel; ++i) {
+            s.runFor(1);
+            for (const VirtualBusId bid : liveBuses(*net)) {
+                for (const Hop &h : busOf(*net, bid)->hops) {
+                    if (h.inMove()) {
+                        gap = h.gap;
+                        from = h.level;
+                        to = h.dualLevel;
+                        break;
+                    }
                 }
             }
         }
+        ASSERT_NE(to, kNoLevel) << "no compaction move observed";
     }
-    ASSERT_NE(to, kNoLevel) << "no compaction move observed";
 
+    sim::Simulator s;
+    std::unique_ptr<Engine> net;
+    net::MessageId id = 0;
+    GapId gap = 0;
+    Level from = kNoLevel;
+    Level to = kNoLevel;
+};
+
+TEST_P(MidMoveFault, OnTargetCancelsTheMove)
+{
+    // Kill the move *target*: the move is cancelled, the hop stays
+    // on its (live) old level, and the bus survives.
+    net->failSegment(gap, to);
+    EXPECT_EQ(net->rmbStats().busesSevered, 0u);
+    const Hop h = hopAt(*net, gap);
+    EXPECT_EQ(h.level, from);
+    EXPECT_FALSE(h.inMove());
+    net->repairSegment(gap, to);
+    runToQuiescence(s, *net, 4'000'000);
+    EXPECT_EQ(net->message(id).state, net::MessageState::Delivered);
+}
+
+TEST_P(MidMoveFault, OnOldLevelCompletesTheMove)
+{
     // Kill the *old* level mid-move: make-before-break means the new
     // segment already carries the signal, so the move completes
     // early instead of severing.
-    net.failSegment(g, from);
-    EXPECT_EQ(net.rmbStats().busesSevered, 0u);
-    const auto ids = net.liveBusIds();
-    ASSERT_EQ(ids.size(), 1u);
-    for (const Hop &h : net.bus(ids[0])->hops) {
-        if (h.gap == g) {
-            EXPECT_EQ(h.level, to);
-            EXPECT_FALSE(h.inMove());
-        }
-    }
-    runToQuiescence(s, net, 4'000'000);
-    EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
+    net->failSegment(gap, from);
+    EXPECT_EQ(net->rmbStats().busesSevered, 0u);
+    const Hop h = hopAt(*net, gap);
+    EXPECT_EQ(h.level, to);
+    EXPECT_FALSE(h.inMove());
+    runToQuiescence(s, *net, 4'000'000);
+    EXPECT_EQ(net->message(id).state, net::MessageState::Delivered);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, MidMoveFault,
+    ::testing::Values(EngineKind::Event, EngineKind::Kernel),
+    [](const ::testing::TestParamInfo<EngineKind> &info) {
+        return std::string(engineKindName(info.param));
+    });
 
 TEST(Fault, WatchdogRescuesWaitModeDeadlock)
 {

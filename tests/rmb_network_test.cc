@@ -76,8 +76,9 @@ TEST(RmbNetwork, InjectionUsesTopBusOnly)
     RmbNetwork net(s, cfg);
     net.send(2, 6, 64);
     s.run(2); // process the zero-delay injection event only
-    // The source hop must sit on level k-1 of gap 2.
-    EXPECT_EQ(net.segments().occupant(2, 3), 1u);
+    // The source hop must sit on level k-1 of gap 2, held by the
+    // first bus's pool slot.
+    EXPECT_EQ(net.segments().ownerSlot(2, 3), 0u);
     EXPECT_TRUE(net.segments().isFree(2, 0));
     EXPECT_TRUE(net.segments().isFree(2, 1));
     EXPECT_TRUE(net.segments().isFree(2, 2));
