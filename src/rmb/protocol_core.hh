@@ -164,8 +164,6 @@ class ProtocolCore : public Engine
           pes_(config.numNodes), rmbStats_(metrics())
     {}
 
-    ~ProtocolCore() override = default;
-
     Derived &derived() { return static_cast<Derived &>(*this); }
     const Derived &
     derived() const
